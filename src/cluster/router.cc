@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <unordered_map>
 
 #include "core/solver.h"
@@ -751,7 +752,11 @@ std::string ClusterRouter::RouteQuery(ConnState* conn, const Frame& frame) {
     query.keywords.push_back(static_cast<TermId>(j));
   }
 
-  const IrTree tree(&mini);
+  // One build thread: this runs on a connection thread beside the others,
+  // and a popular-word harvest can hold tens of thousands of candidates.
+  std::vector<ObjectId> mini_ids(mini.NumObjects());
+  std::iota(mini_ids.begin(), mini_ids.end(), ObjectId{0});
+  const IrTree tree(&mini, IrTree::Options(), mini_ids, /*build_threads=*/1);
   CoskqContext context;
   context.dataset = &mini;
   context.index = &tree;

@@ -1,28 +1,35 @@
 #include "data/dataset.h"
 
+#include <fcntl.h>
 #include <string.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "util/logging.h"
+#include "util/parallel.h"
+#include "util/scratch_array.h"
 #include "util/string_util.h"
 
 namespace coskq {
 
-TermId Vocabulary::GetOrAdd(const std::string& word) {
-  auto [it, inserted] =
-      word_to_id_.emplace(word, static_cast<TermId>(id_to_word_.size()));
-  if (inserted) {
-    id_to_word_.push_back(word);
+TermId Vocabulary::GetOrAdd(std::string_view word) {
+  auto it = word_to_id_.find(word);
+  if (it != word_to_id_.end()) {
+    return it->second;
   }
-  return it->second;
+  const TermId id = static_cast<TermId>(id_to_word_.size());
+  word_to_id_.emplace(std::string(word), id);
+  id_to_word_.emplace_back(word);
+  return id;
 }
 
-TermId Vocabulary::Find(const std::string& word) const {
+TermId Vocabulary::Find(std::string_view word) const {
   auto it = word_to_id_.find(word);
   return it == word_to_id_.end() ? kInvalidTermId : it->second;
 }
@@ -214,53 +221,304 @@ Status Dataset::SaveToFile(const std::string& path) const {
 
 namespace {
 
-StatusOr<Dataset> ParseLines(std::istream& in, const std::string& origin) {
-  Dataset dataset;
-  std::string line;
-  size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    std::string_view trimmed = TrimWhitespace(line);
-    if (trimmed.empty() || trimmed[0] == '#') {
+/// Inputs smaller than this per chunk are parsed on the calling thread.
+constexpr size_t kMinChunkBytes = size_t{1} << 20;
+
+size_t DefaultChunkCount(size_t bytes) {
+  return std::clamp<size_t>(bytes / kMinChunkBytes, 1,
+                            static_cast<size_t>(HardwareThreads()));
+}
+
+/// Chunk-local interning table: open addressing over views into the parsed
+/// buffer, so no word is copied until the merge. Local ids are assigned in
+/// first-seen order. The table and the word arrays double together, so the
+/// arrays hold room for at most twice the chunk's distinct words.
+class ChunkVocabulary {
+ public:
+  uint32_t GetOrAdd(std::string_view word) {
+    if (2 * (words_.size() + 1) > slots_.capacity()) {
+      Grow();
+    }
+    const size_t hash = std::hash<std::string_view>()(word);
+    const size_t mask = slots_.capacity() - 1;
+    for (size_t i = hash & mask;; i = (i + 1) & mask) {
+      const uint32_t slot = slots_[i];
+      if (slot == 0) {
+        words_.push_back(word);
+        hashes_.push_back(hash);
+        slots_[i] = static_cast<uint32_t>(words_.size());
+        return slot_to_id(slots_[i]);
+      }
+      const uint32_t id = slot_to_id(slot);
+      if (hashes_[id] == hash && words_[id] == word) {
+        return id;
+      }
+    }
+  }
+
+  size_t size() const { return words_.size(); }
+  std::string_view word(uint32_t id) const { return words_[id]; }
+
+ private:
+  /// slots_ holds local id + 1; 0 (a fresh mapping's content) marks an
+  /// empty slot. Its capacity is the table size, a power of two.
+  static uint32_t slot_to_id(uint32_t slot) { return slot - 1; }
+
+  void Grow() {
+    slots_ = ScratchArray<uint32_t>(
+        std::max<size_t>(1024, 2 * slots_.capacity()));
+    words_.reserve(slots_.capacity() / 2);
+    hashes_.reserve(slots_.capacity() / 2);
+    const size_t mask = slots_.capacity() - 1;
+    for (size_t id = 0; id < hashes_.size(); ++id) {
+      size_t i = hashes_[id] & mask;
+      while (slots_[i] != 0) {
+        i = (i + 1) & mask;
+      }
+      slots_[i] = static_cast<uint32_t>(id + 1);
+    }
+  }
+
+  ScratchArray<uint32_t> slots_;
+  ScratchArray<std::string_view> words_;
+  ScratchArray<size_t> hashes_;
+};
+
+/// One newline-aligned chunk, parsed. Object i's keywords are
+/// terms[term_end[i-1] .. term_end[i]): chunk-local ids until the merge
+/// rewrites them to global, sorted, duplicate-free TermIds. All storage is
+/// ScratchArrays, so a parsing worker never calls malloc (see
+/// util/scratch_array.h); capacities are bounds from the chunk's byte
+/// counts: a row per line, and a token per space plus one per line.
+struct ParsedChunk {
+  void Reserve(std::string_view text) {
+    const size_t max_rows =
+        static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
+    const size_t max_tokens =
+        static_cast<size_t>(std::count(text.begin(), text.end(), ' ')) +
+        max_rows;
+    locations = ScratchArray<Point>(max_rows);
+    term_end = ScratchArray<size_t>(max_rows);
+    terms = ScratchArray<TermId>(max_tokens);
+  }
+
+  ScratchArray<Point> locations;
+  ScratchArray<size_t> term_end;
+  ScratchArray<TermId> terms;
+  ChunkVocabulary vocab;
+  /// Lines consumed; all of the chunk's lines unless it failed.
+  size_t lines = 0;
+  /// The chunk's first malformed row (chunk-local 1-based line), if any.
+  const char* error = nullptr;
+  size_t error_line = 0;
+};
+
+/// Parses one chunk with the line semantics of std::getline plus the row
+/// grammar SaveToFile writes: trim ASCII whitespace, skip blank and '#'
+/// lines, split on single spaces (runs of spaces make no empty fields),
+/// then "x y word...". Stops at the first malformed row.
+void ParseChunk(std::string_view text, ParsedChunk* out) {
+  size_t pos = 0;
+  while (pos < text.size()) {
+    size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) {
+      end = text.size();
+    }
+    const std::string_view line = TrimWhitespace(text.substr(pos, end - pos));
+    pos = end + 1;
+    ++out->lines;
+    if (line.empty() || line[0] == '#') {
       continue;
     }
-    std::vector<std::string> fields = SplitString(trimmed, ' ');
-    if (fields.size() < 2) {
-      return Status::Corruption(origin + ":" + std::to_string(line_number) +
-                                ": expected 'x y [words...]'");
-    }
+    size_t field_pos = 0;
+    const auto next_field = [&line, &field_pos]() {
+      while (field_pos < line.size() && line[field_pos] == ' ') {
+        ++field_pos;
+      }
+      const size_t begin = field_pos;
+      while (field_pos < line.size() && line[field_pos] != ' ') {
+        ++field_pos;
+      }
+      return line.substr(begin, field_pos - begin);
+    };
+    const std::string_view x_field = next_field();
+    const std::string_view y_field = next_field();
     double x = 0.0;
     double y = 0.0;
-    if (!ParseDouble(fields[0], &x) || !ParseDouble(fields[1], &y)) {
-      return Status::Corruption(origin + ":" + std::to_string(line_number) +
-                                ": malformed coordinates");
+    if (y_field.empty()) {
+      out->error = "expected 'x y [words...]'";
+    } else if (!ParseDouble(x_field, &x) || !ParseDouble(y_field, &y)) {
+      out->error = "malformed coordinates";
+    } else if (!std::isfinite(x) || !std::isfinite(y)) {
+      // strtod happily parses "nan"/"inf"; a non-finite location would
+      // poison every distance computed against it.
+      out->error = "non-finite coordinates";
     }
-    // strtod happily parses "nan"/"inf"; a non-finite location would poison
-    // every distance computed against it, so reject it here with the same
-    // file:line provenance as a parse failure.
-    if (!std::isfinite(x) || !std::isfinite(y)) {
-      return Status::Corruption(origin + ":" + std::to_string(line_number) +
-                                ": non-finite coordinates");
+    if (out->error != nullptr) {
+      out->error_line = out->lines;
+      return;
     }
-    std::vector<std::string> words(fields.begin() + 2, fields.end());
-    dataset.AddObject(Point{x, y}, words);
+    out->locations.push_back(Point{x, y});
+    for (std::string_view word = next_field(); !word.empty();
+         word = next_field()) {
+      out->terms.push_back(out->vocab.GetOrAdd(word));
+    }
+    out->term_end.push_back(out->terms.size());
   }
-  return dataset;
+}
+
+/// Splits `text` into `num_chunks` pieces that each end just past a '\n'
+/// (the last one at the end of the text). Pieces may be empty.
+std::vector<std::string_view> SplitChunks(std::string_view text,
+                                          size_t num_chunks) {
+  std::vector<std::string_view> chunks;
+  size_t begin = 0;
+  for (size_t c = 1; c <= num_chunks; ++c) {
+    size_t end = std::max(begin, text.size() * c / num_chunks);
+    if (end > 0 && end < text.size()) {
+      const size_t newline = text.find('\n', end - 1);
+      end = newline == std::string_view::npos ? text.size() : newline + 1;
+    }
+    chunks.push_back(text.substr(begin, end - begin));
+    begin = end;
+  }
+  return chunks;
 }
 
 }  // namespace
 
+namespace internal_data {
+
+StatusOr<Dataset> ParseChunked(std::string_view text,
+                               const std::string& origin, size_t num_chunks) {
+  COSKQ_CHECK_GT(num_chunks, 0u);
+  const std::vector<std::string_view> pieces = SplitChunks(text, num_chunks);
+  std::vector<ParsedChunk> parsed(pieces.size());
+  const int threads = HardwareThreads();
+  ParallelFor(pieces.size(), threads, [&](size_t c) {
+    parsed[c].Reserve(pieces[c]);
+    ParseChunk(pieces[c], &parsed[c]);
+  });
+
+  // The earliest failing chunk holds the file's first malformed row; every
+  // chunk before it parsed all of its lines.
+  size_t line_base = 0;
+  for (const ParsedChunk& chunk : parsed) {
+    if (chunk.error != nullptr) {
+      return Status::Corruption(origin + ":" +
+                                std::to_string(line_base + chunk.error_line) +
+                                ": " + chunk.error);
+    }
+    line_base += chunk.lines;
+  }
+
+  // Global TermIds in file first-seen order: a word's first occurrence in
+  // the file is its first occurrence in the earliest chunk holding it, so
+  // interning chunk by chunk in local first-seen order replays exactly the
+  // sequential interning order (DESIGN.md §17).
+  Dataset dataset;
+  std::vector<std::vector<TermId>> to_global(parsed.size());
+  for (size_t c = 0; c < parsed.size(); ++c) {
+    const ChunkVocabulary& vocab = parsed[c].vocab;
+    to_global[c].reserve(vocab.size());
+    for (uint32_t id = 0; id < vocab.size(); ++id) {
+      to_global[c].push_back(dataset.vocab_.GetOrAdd(vocab.word(id)));
+    }
+  }
+  // Rewrite each object's terms to sorted, duplicate-free global ids in
+  // place (the TermSet invariant), compacting the chunk's term array.
+  ParallelFor(parsed.size(), threads, [&](size_t c) {
+    ParsedChunk& chunk = parsed[c];
+    const std::vector<TermId>& map = to_global[c];
+    TermId* const terms = chunk.terms.data();
+    size_t begin = 0;
+    size_t kept = 0;
+    for (size_t i = 0; i < chunk.term_end.size(); ++i) {
+      size_t& end = chunk.term_end[i];
+      TermId* const first = terms + begin;
+      TermId* last = terms + end;
+      for (TermId* t = first; t != last; ++t) {
+        *t = map[*t];
+      }
+      std::sort(first, last);
+      last = std::unique(first, last);
+      begin = end;
+      const size_t count = static_cast<size_t>(last - first);
+      if (terms + kept != first) {
+        memmove(terms + kept, first, count * sizeof(TermId));
+      }
+      kept += count;
+      end = kept;
+    }
+  });
+
+  // objects_ grows by push_back, not one exact reserve: the doubling leaves
+  // room up to the next power of two, so a live-update server appends its
+  // mutation capacity in place (EnableConcurrentAppends), and the blocks
+  // it frees on the way set glibc's mmap threshold as the getline loader
+  // did (DESIGN.md §17).
+  dataset.term_frequency_.assign(dataset.vocab_.size(), 0);
+  for (const ParsedChunk& chunk : parsed) {
+    size_t begin = 0;
+    for (size_t i = 0; i < chunk.locations.size(); ++i) {
+      const size_t end = chunk.term_end[i];
+      const ObjectId id = static_cast<ObjectId>(dataset.objects_.size());
+      dataset.mbr_.ExpandToInclude(chunk.locations[i]);
+      dataset.total_keyword_count_ += end - begin;
+      for (size_t k = begin; k < end; ++k) {
+        ++dataset.term_frequency_[chunk.terms[k]];
+      }
+      dataset.objects_.push_back(
+          SpatialObject{id, chunk.locations[i],
+                        TermSet(chunk.terms.data() + begin,
+                                chunk.terms.data() + end)});
+      begin = end;
+    }
+  }
+  return dataset;
+}
+
+}  // namespace internal_data
+
 StatusOr<Dataset> Dataset::LoadFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
+  const int fd = open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IoError("cannot open for reading: " + path);
   }
-  return ParseLines(in, path);
+  struct stat st;
+  if (fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0) {
+    // One read-only mapping, parsed in place.
+    const size_t size = static_cast<size_t>(st.st_size);
+    void* map = mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_POPULATE,
+                     fd, 0);
+    close(fd);
+    if (map == MAP_FAILED) {
+      return Status::IoError("cannot map for reading: " + path);
+    }
+    StatusOr<Dataset> parsed = internal_data::ParseChunked(
+        std::string_view(static_cast<const char*>(map), size), path,
+        DefaultChunkCount(size));
+    munmap(map, size);
+    return parsed;
+  }
+  // Pipes, character devices and empty files: read whatever there is.
+  std::string text;
+  char buffer[1 << 16];
+  ssize_t n = 0;
+  while ((n = read(fd, buffer, sizeof(buffer))) > 0) {
+    text.append(buffer, static_cast<size_t>(n));
+  }
+  close(fd);
+  if (n < 0) {
+    return Status::IoError("read failed: " + path);
+  }
+  return internal_data::ParseChunked(text, path,
+                                     DefaultChunkCount(text.size()));
 }
 
 StatusOr<Dataset> Dataset::ParseFromString(const std::string& text) {
-  std::istringstream in(text);
-  return ParseLines(in, "<string>");
+  return internal_data::ParseChunked(text, "<string>",
+                                     DefaultChunkCount(text.size()));
 }
 
 }  // namespace coskq

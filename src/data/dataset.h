@@ -4,7 +4,9 @@
 #include <stdint.h>
 
 #include <atomic>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -16,6 +18,16 @@
 
 namespace coskq {
 
+class Dataset;
+
+namespace internal_data {
+/// The loader behind LoadFromFile/ParseFromString with the chunk count
+/// pinned (they pick one per hardware thread for large inputs, else 1).
+/// Test-only: the result must not depend on `num_chunks`.
+StatusOr<Dataset> ParseChunked(std::string_view text,
+                               const std::string& origin, size_t num_chunks);
+}  // namespace internal_data
+
 /// Bidirectional mapping between keyword strings and dense TermIds.
 /// TermIds are assigned in first-seen order starting at 0.
 class Vocabulary {
@@ -23,10 +35,10 @@ class Vocabulary {
   Vocabulary() = default;
 
   /// Returns the id of `word`, interning it if unseen.
-  TermId GetOrAdd(const std::string& word);
+  TermId GetOrAdd(std::string_view word);
 
   /// Returns the id of `word`, or kInvalidTermId if unknown.
-  TermId Find(const std::string& word) const;
+  TermId Find(std::string_view word) const;
 
   /// Returns the string for a valid id.
   const std::string& TermString(TermId id) const;
@@ -36,7 +48,16 @@ class Vocabulary {
   static constexpr TermId kInvalidTermId = static_cast<TermId>(-1);
 
  private:
-  std::unordered_map<std::string, TermId> word_to_id_;
+  /// Transparent hash: lookups by string_view build no temporary string.
+  struct WordHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view word) const {
+      return std::hash<std::string_view>()(word);
+    }
+  };
+
+  std::unordered_map<std::string, TermId, WordHash, std::equal_to<>>
+      word_to_id_;
   std::vector<std::string> id_to_word_;
 };
 
@@ -155,7 +176,11 @@ class Dataset {
   /// once. Safe to call from concurrent readers.
   uint64_t ContentChecksum() const;
 
-  /// Serialization: one object per line, "x y word1 word2 ...".
+  /// Serialization: one object per line, "x y word1 word2 ...". Blank lines
+  /// and lines starting with '#' are skipped; a malformed row fails the
+  /// load with its 1-based "file:line". Large files are parsed in
+  /// newline-aligned chunks on HardwareThreads() threads, with a result
+  /// identical to a sequential parse (DESIGN.md §17).
   Status SaveToFile(const std::string& path) const;
   static StatusOr<Dataset> LoadFromFile(const std::string& path);
 
@@ -163,6 +188,9 @@ class Dataset {
   static StatusOr<Dataset> ParseFromString(const std::string& text);
 
  private:
+  friend StatusOr<Dataset> internal_data::ParseChunked(
+      std::string_view text, const std::string& origin, size_t num_chunks);
+
   std::vector<SpatialObject> objects_;
   Vocabulary vocab_;
   Rect mbr_;

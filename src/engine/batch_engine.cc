@@ -8,6 +8,7 @@
 
 #include "index/irtree.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -67,8 +68,7 @@ int BatchEngine::ResolvedThreads() const {
   if (options_.num_threads > 0) {
     return options_.num_threads;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
+  return HardwareThreads();
 }
 
 namespace {

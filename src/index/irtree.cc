@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <mutex>
 #include <queue>
 
 #include "index/frozen_layout.h"
@@ -14,6 +15,8 @@
 #include "index/search_scratch.h"
 #include "index/term_signature.h"
 #include "util/logging.h"
+#include "util/parallel.h"
+#include "util/scratch_array.h"
 
 namespace coskq {
 
@@ -24,9 +27,79 @@ using internal_index::PrefetchHint;
 using internal_index::PrefetchNextPop;
 using internal_index::QuadraticSplit;
 using internal_index::RectEnlargement;
+using internal_index::StrRecord;
 using internal_index::StrTile;
 
 namespace {
+
+/// Smaller builds stay on the calling thread: starting threads would cost
+/// more than the work.
+constexpr size_t kMinParallelBuild = size_t{1} << 14;
+
+/// Sort records of builds below this many bytes stay on the heap instead of
+/// in a ScratchArray, so a small build makes no mmap/munmap calls. It is
+/// below glibc's default mmap threshold, so such a block never changes it.
+constexpr size_t kHeapRecordBytes = size_t{64} << 10;
+
+/// Sorted, duplicate-free unions of sorted term sets, computed without
+/// allocating: the caller sizes each result from Count() and Fill() writes
+/// it. Each union sets one bit per member in a bitmap over the term
+/// universe, reads the bits back in order, and clears only the words it
+/// touched. One instance per worker thread, constructed by the thread that
+/// starts them.
+class TermUnion {
+ public:
+  explicit TermUnion(TermId universe)
+      : bits_((static_cast<size_t>(universe) + 63) / 64, 0) {}
+
+  /// The size of the union of set_at(0) .. set_at(count - 1).
+  template <typename SetAt>
+  size_t Count(size_t count, const SetAt& set_at) {
+    return Run(count, set_at, nullptr);
+  }
+
+  /// Writes that union to `out`, whose capacity must already hold it.
+  template <typename SetAt>
+  void Fill(size_t count, const SetAt& set_at, TermSet* out) {
+    Run(count, set_at, out);
+  }
+
+ private:
+  template <typename SetAt>
+  size_t Run(size_t count, const SetAt& set_at, TermSet* out) {
+    size_t lo = bits_.size();
+    size_t hi = 0;
+    for (size_t i = 0; i < count; ++i) {
+      const TermSet& set = set_at(i);
+      if (set.empty()) {
+        continue;
+      }
+      lo = std::min<size_t>(lo, set.front() / 64);
+      hi = std::max<size_t>(hi, set.back() / 64 + 1);
+      for (TermId t : set) {
+        bits_[t / 64] |= uint64_t{1} << (t % 64);
+      }
+    }
+    size_t distinct = 0;
+    if (out != nullptr) {
+      out->clear();
+    }
+    for (size_t w = lo; w < hi; ++w) {
+      if (out == nullptr) {
+        distinct += static_cast<size_t>(std::popcount(bits_[w]));
+      } else {
+        for (uint64_t word = bits_[w]; word != 0; word &= word - 1) {
+          out->push_back(static_cast<TermId>(
+              w * 64 + static_cast<size_t>(std::countr_zero(word))));
+        }
+      }
+      bits_[w] = 0;
+    }
+    return out == nullptr ? distinct : out->size();
+  }
+
+  std::vector<uint64_t> bits_;
+};
 
 /// Per-thread ReadGuard bookkeeping. Guards are re-entrant (a solver guard
 /// wraps query-method guards wraps fallback-overload guards), so each
@@ -120,7 +193,7 @@ size_t IrTree::delta_size() const {
 }
 
 IrTree::IrTree(const Dataset* dataset, const Options& options)
-    : dataset_(dataset), options_(options) {
+    : dataset_(dataset), options_(options), build_threads_(HardwareThreads()) {
   COSKQ_CHECK(dataset != nullptr);
   COSKQ_CHECK_GE(options_.max_entries, 4);
   std::vector<ObjectId> ids(dataset_->NumObjects());
@@ -132,7 +205,11 @@ IrTree::IrTree(const Dataset* dataset, const Options& options)
 
 IrTree::IrTree(const Dataset* dataset, const Options& options,
                const std::vector<ObjectId>& object_ids)
-    : dataset_(dataset), options_(options) {
+    : IrTree(dataset, options, object_ids, HardwareThreads()) {}
+
+IrTree::IrTree(const Dataset* dataset, const Options& options,
+               const std::vector<ObjectId>& object_ids, int build_threads)
+    : dataset_(dataset), options_(options), build_threads_(build_threads) {
   COSKQ_CHECK(dataset != nullptr);
   COSKQ_CHECK_GE(options_.max_entries, 4);
   BulkLoad(object_ids);
@@ -144,56 +221,149 @@ IrTree::~IrTree() {
   }
 }
 
+int IrTree::BuildThreads(size_t entries) const {
+  return entries >= kMinParallelBuild ? build_threads_ : 1;
+}
+
 void IrTree::BulkLoad(std::vector<ObjectId> ids) {
   const size_t n = ids.size();
   size_.store(n, std::memory_order_relaxed);
+  const int threads = BuildThreads(n);
   ObjectId max_id = 0;
   for (ObjectId id : ids) {
     max_id = std::max(max_id, id);
   }
   obj_sigs_.assign(n == 0 ? 0 : static_cast<size_t>(max_id) + 1, 0);
-  obj_sig_bits_sum_ = 0;
-  for (ObjectId id : ids) {
-    obj_sigs_[id] = TermSetSignature(dataset_->object(id).keywords);
-    obj_sig_bits_sum_ += static_cast<uint64_t>(std::popcount(obj_sigs_[id]));
+
+  // Object signatures, the sort records, and the term universe (one past
+  // the largest keyword id), over ranges of ids.
+  std::vector<StrRecord> small_records;
+  ScratchArray<StrRecord> large_records;
+  std::span<StrRecord> records;
+  if (n * sizeof(StrRecord) < kHeapRecordBytes) {
+    small_records.resize(n);
+    records = small_records;
+  } else {
+    large_records = ScratchArray<StrRecord>(n);
+    large_records.resize(n);
+    records = large_records.span();
   }
+  TermId universe = 0;
+  obj_sig_bits_sum_ = 0;
+  std::mutex totals_mutex;
+  ParallelForRanges(n, threads, [&](int, size_t begin, size_t end) {
+    uint64_t sig_bits = 0;
+    TermId range_universe = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const SpatialObject& obj = dataset_->object(ids[i]);
+      const uint64_t sig = TermSetSignature(obj.keywords);
+      obj_sigs_[ids[i]] = sig;
+      sig_bits += static_cast<uint64_t>(std::popcount(sig));
+      if (!obj.keywords.empty()) {
+        range_universe = std::max(range_universe, obj.keywords.back() + 1);
+      }
+      records[i] = StrRecord{obj.location.x, obj.location.y, ids[i]};
+    }
+    std::lock_guard<std::mutex> lock(totals_mutex);
+    obj_sig_bits_sum_ += sig_bits;
+    universe = std::max(universe, range_universe);
+  });
   if (n == 0) {
     root_ = std::make_unique<Node>();
     AssignNodeIds();
     return;
   }
   const size_t cap = static_cast<size_t>(options_.max_entries);
+  std::vector<TermUnion> term_unions;
+  term_unions.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    term_unions.emplace_back(universe);
+  }
+
+  // Builds one level's nodes in tile order: node g covers records
+  // [ends[g-1], ends[g]), and every node is written to its own slot, so the
+  // level is the same for any thread count. Only this thread allocates; the
+  // workers write into storage it sized (DESIGN.md §17). A first pass fills
+  // the entries and counts each node's term union, a second writes the
+  // unions into term sets reserved at exactly that size.
+  const auto build_level = [&](const std::vector<size_t>& ends, bool is_leaf,
+                               const auto& fill_entries,
+                               const auto& entry_terms) {
+    std::vector<std::unique_ptr<Node>> nodes(ends.size());
+    for (size_t g = 0; g < ends.size(); ++g) {
+      nodes[g] = std::make_unique<Node>();
+      nodes[g]->is_leaf = is_leaf;
+      const size_t entries = ends[g] - (g == 0 ? 0 : ends[g - 1]);
+      if (is_leaf) {
+        nodes[g]->objects.reserve(entries);
+      } else {
+        nodes[g]->children.reserve(entries);
+      }
+    }
+    // Calls fn(g, node, terms_at, term_union) for every node, where
+    // terms_at(i) is the term set of the node's i-th entry and term_union
+    // is the calling worker's.
+    const auto for_each_node = [&](const auto& fn) {
+      ParallelForRanges(
+          ends.size(), threads, [&](int worker, size_t first, size_t last) {
+            TermUnion& term_union = term_unions[static_cast<size_t>(worker)];
+            for (size_t g = first; g < last; ++g) {
+              Node& node = *nodes[g];
+              const auto terms_at = [&](size_t i) -> const TermSet& {
+                return entry_terms(node, i);
+              };
+              fn(g, node, terms_at, term_union);
+            }
+          });
+    };
+    std::vector<size_t> term_counts(ends.size());
+    for_each_node([&](size_t g, Node& node, const auto& terms_at,
+                      TermUnion& term_union) {
+      fill_entries(g == 0 ? 0 : ends[g - 1], ends[g], &node);
+      term_counts[g] = term_union.Count(node.EntryCount(), terms_at);
+    });
+    for (size_t g = 0; g < ends.size(); ++g) {
+      nodes[g]->terms.reserve(term_counts[g]);
+    }
+    for_each_node([&](size_t, Node& node, const auto& terms_at,
+                      TermUnion& term_union) {
+      term_union.Fill(node.EntryCount(), terms_at, &node.terms);
+      node.sig = TermSetSignature(node.terms);
+    });
+    return nodes;
+  };
 
   // Leaf level: STR tiling over object locations.
-  std::vector<std::unique_ptr<Node>> level;
-  StrTile(
-      &ids, cap,
-      [this](ObjectId id) { return dataset_->object(id).location; },
-      [this, &ids, &level](size_t begin, size_t end) {
-        auto leaf = std::make_unique<Node>();
-        leaf->is_leaf = true;
-        leaf->objects.assign(ids.begin() + static_cast<ptrdiff_t>(begin),
-                             ids.begin() + static_cast<ptrdiff_t>(end));
-        leaf->Recompute(*dataset_);
-        level.push_back(std::move(leaf));
+  std::vector<std::unique_ptr<Node>> level = build_level(
+      StrTile(records, cap, threads), /*is_leaf=*/true,
+      [&](size_t begin, size_t end, Node* leaf) {
+        for (size_t i = begin; i < end; ++i) {
+          leaf->objects.push_back(records[i].entry);
+          leaf->mbr.ExpandToInclude(Point{records[i].x, records[i].y});
+        }
+      },
+      [this](const Node& leaf, size_t i) -> const TermSet& {
+        return dataset_->object(leaf.objects[i]).keywords;
       });
 
   // Upper levels: STR tiling over child MBR centers.
   while (level.size() > 1) {
-    std::vector<std::unique_ptr<Node>> next;
-    StrTile(
-        &level, cap,
-        [](const std::unique_ptr<Node>& n) { return n->mbr.Center(); },
-        [this, &level, &next](size_t begin, size_t end) {
-          auto parent = std::make_unique<Node>();
-          parent->is_leaf = false;
+    records = records.first(level.size());
+    for (size_t i = 0; i < level.size(); ++i) {
+      const Point center = level[i]->mbr.Center();
+      records[i] = StrRecord{center.x, center.y, static_cast<uint32_t>(i)};
+    }
+    level = build_level(
+        StrTile(records, cap, threads), /*is_leaf=*/false,
+        [&](size_t begin, size_t end, Node* parent) {
           for (size_t i = begin; i < end; ++i) {
-            parent->children.push_back(std::move(level[i]));
+            parent->children.push_back(std::move(level[records[i].entry]));
+            parent->mbr.ExpandToInclude(parent->children.back()->mbr);
           }
-          parent->Recompute(*dataset_);
-          next.push_back(std::move(parent));
+        },
+        [](const Node& parent, size_t i) -> const TermSet& {
+          return parent.children[i]->terms;
         });
-    level = std::move(next);
   }
   root_ = std::move(level.front());
   AssignNodeIds();

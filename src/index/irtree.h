@@ -116,6 +116,13 @@ class IrTree {
   IrTree(const Dataset* dataset, const Options& options,
          const std::vector<ObjectId>& object_ids);
 
+  /// The subset constructor with the build's thread budget pinned. Builds
+  /// that run beside serving threads (Refreeze(), the cluster router's
+  /// per-query tree) pass 1, so they never take cores from them. The tree
+  /// is the same for any budget.
+  IrTree(const Dataset* dataset, const Options& options,
+         const std::vector<ObjectId>& object_ids, int build_threads);
+
   ~IrTree();
 
   IrTree(const IrTree&) = delete;
@@ -350,6 +357,9 @@ class IrTree {
   IrTree(const Dataset* dataset, const Options& options,
          std::unique_ptr<internal_index::FrozenStore> store);
 
+  /// Threads a build over `entries` objects may use: build_threads_, or 1
+  /// below the size where starting threads costs more than it saves.
+  int BuildThreads(size_t entries) const;
   void BulkLoad(std::vector<ObjectId> ids);
   void AssignNodeIds();
 
@@ -412,6 +422,11 @@ class IrTree {
 
   const Dataset* dataset_;
   Options options_;
+  /// Thread budget of the STR bulk load and Freeze() (DESIGN.md §17):
+  /// HardwareThreads() unless the constructor pinned it (1 for Refreeze()'s
+  /// rebuild and the router's per-query tree). Every build is identical
+  /// for any value.
+  int build_threads_ = 1;
   std::unique_ptr<Node> root_;
   /// Per-object one-bit Bloom signatures (see term_signature.h), indexed by
   /// ObjectId; the O(1) definite-negative pre-filter the masked traversals

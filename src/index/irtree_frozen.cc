@@ -36,6 +36,7 @@
 #include "index/search_scratch.h"
 #include "index/term_signature.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace coskq {
 
@@ -277,25 +278,48 @@ void IrTree::Freeze() {
     }
   }
 
-  uint64_t term_total = 0;
-  uint64_t leaf_total = 0;
-  for (const Node* n : order) {
-    term_total += n->terms.size();
-    if (n->is_leaf) {
-      leaf_total += n->objects.size();
-      for (ObjectId id : n->objects) {
-        term_total += dataset_->object(id).keywords.size();
-      }
-    }
-    COSKQ_CHECK_LE(n->EntryCount(), size_t{65535})
-        << "fan-out exceeds FrozenNodeRecord::entry_count";
-  }
   COSKQ_CHECK_LE(order.size(),
                  size_t{std::numeric_limits<uint32_t>::max()});
-  COSKQ_CHECK_LE(term_total, uint64_t{std::numeric_limits<uint32_t>::max()});
   const uint32_t num_nodes = static_cast<uint32_t>(order.size());
-  const uint32_t num_leaf_entries = static_cast<uint32_t>(leaf_total);
-  const uint32_t num_terms = static_cast<uint32_t>(term_total);
+  const int threads = BuildThreads(size_.load(std::memory_order_relaxed));
+  // Every slot's term-arena, leaf-entry and child offsets are prefix sums
+  // of per-slot counts, so disjoint slot ranges can be written in parallel
+  // into exactly the bytes a sequential walk would write.
+  const auto for_each_slot = [&](const auto& fn) {
+    ParallelForRanges(num_nodes, threads, [&](int, size_t begin, size_t end) {
+      for (size_t slot = begin; slot < end; ++slot) {
+        fn(static_cast<uint32_t>(slot), order[slot]);
+      }
+    });
+  };
+  std::vector<uint64_t> term_begin(size_t{num_nodes} + 1, 0);
+  std::vector<uint64_t> leaf_begin(size_t{num_nodes} + 1, 0);
+  std::vector<uint64_t> child_begin(size_t{num_nodes} + 1, 0);
+  for_each_slot([&](uint32_t slot, const Node* n) {
+    COSKQ_CHECK_LE(n->EntryCount(), size_t{65535})
+        << "fan-out exceeds FrozenNodeRecord::entry_count";
+    uint64_t terms_here = n->terms.size();
+    if (n->is_leaf) {
+      leaf_begin[slot + 1] = n->objects.size();
+      for (ObjectId id : n->objects) {
+        terms_here += dataset_->object(id).keywords.size();
+      }
+    } else {
+      child_begin[slot + 1] = n->children.size();
+    }
+    term_begin[slot + 1] = terms_here;
+  });
+  for (uint32_t slot = 0; slot < num_nodes; ++slot) {
+    term_begin[slot + 1] += term_begin[slot];
+    leaf_begin[slot + 1] += leaf_begin[slot];
+    child_begin[slot + 1] += child_begin[slot];
+  }
+  COSKQ_CHECK_LE(term_begin[num_nodes],
+                 uint64_t{std::numeric_limits<uint32_t>::max()});
+  const uint32_t num_leaf_entries =
+      static_cast<uint32_t>(leaf_begin[num_nodes]);
+  const uint32_t num_terms = static_cast<uint32_t>(term_begin[num_nodes]);
+  COSKQ_CHECK_EQ(child_begin[num_nodes] + 1, uint64_t{num_nodes});
 
   const FrozenLayout layout = options_.frozen_layout;
   auto store = std::make_unique<FrozenStore>();
@@ -331,11 +355,8 @@ void IrTree::Freeze() {
   auto* leaf_term_count =
       reinterpret_cast<uint32_t*>(body + lay.leaf_term_count_off);
 
-  uint32_t next_child = 1;
-  uint32_t next_term = 0;
-  uint32_t next_leaf = 0;
-  for (uint32_t slot = 0; slot < num_nodes; ++slot) {
-    const Node* n = order[slot];
+  for_each_slot([&](uint32_t slot, const Node* n) {
+    uint32_t next_term = static_cast<uint32_t>(term_begin[slot]);
     FrozenNodeRecord rec{};
     rec.id = n->id;
     rec.sig = n->sig;
@@ -348,6 +369,7 @@ void IrTree::Freeze() {
     *lane_at(lay.max_x_off, slot) = n->mbr.max_x;
     *lane_at(lay.max_y_off, slot) = n->mbr.max_y;
     if (n->is_leaf) {
+      uint32_t next_leaf = static_cast<uint32_t>(leaf_begin[slot]);
       rec.flags = 1;
       rec.entry_begin = next_leaf;
       rec.entry_count = static_cast<uint16_t>(n->objects.size());
@@ -366,15 +388,11 @@ void IrTree::Freeze() {
         ++next_leaf;
       }
     } else {
-      rec.first_child = next_child;
+      rec.first_child = static_cast<uint32_t>(child_begin[slot]) + 1;
       rec.entry_count = static_cast<uint16_t>(n->children.size());
-      next_child += static_cast<uint32_t>(n->children.size());
     }
     *rec_at(slot) = rec;
-  }
-  COSKQ_CHECK_EQ(next_child, num_nodes);
-  COSKQ_CHECK_EQ(next_term, num_terms);
-  COSKQ_CHECK_EQ(next_leaf, num_leaf_entries);
+  });
 
   store->BindView(layout, body, num_nodes, num_leaf_entries, num_terms,
                   static_cast<uint32_t>(Height()));
@@ -426,8 +444,10 @@ Status IrTree::Refreeze() {
   // Build: a from-scratch tree over L0, outside every lock — queries and
   // mutations proceed untouched against the old body while this runs. The
   // dataset records for L0 are immutable (append-only dataset), so the
-  // unlocked read is safe.
-  auto fresh = std::make_unique<IrTree>(dataset_, options_, live);
+  // unlocked read is safe. One thread: the serving workers keep the cores.
+  // Freeze() also builds the new base's membership bitmap here, unlocked.
+  std::unique_ptr<IrTree> fresh(
+      new IrTree(dataset_, options_, live, /*build_threads=*/1));
   fresh->Freeze();
 
   // Swap: splice the new body in and rewrite the delta so that
@@ -479,16 +499,23 @@ Status IrTree::Refreeze() {
     COSKQ_CHECK_EQ(static_cast<int64_t>(live.size()) + next->LiveDelta(),
                    static_cast<int64_t>(size_.load(std::memory_order_relaxed)));
 
+    // The critical section only exchanges pointers: the old body, pointer
+    // tree, signatures and bitmap move into `fresh` and are freed below,
+    // after both locks are released, so requests never wait on the frees.
+    // The new bitmap may be shorter than a rebuild at swap time would be
+    // (objects appended since the build), which LiveInBase already reads
+    // as "not in the base" — and an appended object is not.
     std::unique_lock<std::shared_mutex> swap_lock(swap_mutex_);
-    root_ = std::move(fresh->root_);
-    obj_sigs_ = std::move(fresh->obj_sigs_);
+    std::swap(root_, fresh->root_);
+    std::swap(obj_sigs_, fresh->obj_sigs_);
     obj_sig_bits_sum_ = fresh->obj_sig_bits_sum_;
     next_node_id_ = fresh->next_node_id_;
-    frozen_ = std::move(fresh->frozen_);
-    RebuildFrozenLive();
+    std::swap(frozen_, fresh->frozen_);
+    std::swap(frozen_live_, fresh->frozen_live_);
     PublishDelta(std::move(next));
     epoch_.fetch_add(1, std::memory_order_release);
   }
+  fresh.reset();
   refreezes_completed_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }

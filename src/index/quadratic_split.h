@@ -3,13 +3,18 @@
 
 // Internal header shared by the R-tree and IR-tree implementations.
 
+#include <stddef.h>
+#include <stdint.h>
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "geo/rect.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace coskq {
 namespace internal_index {
@@ -116,38 +121,53 @@ void QuadraticSplit(std::vector<Entry> all, int min_entries,
   }
 }
 
-/// Sort-Tile-Recursive grouping: partitions `entries` into groups of at most
-/// `cap`, tiling by x then y of the entry centers. Invokes `make_group` on
-/// each contiguous chunk. Shared by the bulk loaders.
-template <typename Entry, typename GetCenter, typename MakeGroup>
-void StrTile(std::vector<Entry>* entries, size_t cap,
-             const GetCenter& get_center, const MakeGroup& make_group) {
+/// One Sort-Tile-Recursive sort record: an entry's center, read once, and
+/// the entry's index.
+struct StrRecord {
+  double x;
+  double y;
+  uint32_t entry;
+};
+
+/// Sort-Tile-Recursive grouping: sorts `records` by x, cuts them into
+/// ceil(sqrt(groups)) vertical slabs, sorts each slab by y, and returns the
+/// end offsets of the consecutive groups of at most `cap` records, in tile
+/// order. Used by the IR-tree bulk load.
+///
+/// Sorting contiguous keyed records makes std::sort see exactly the
+/// comparison outcomes it saw when it sorted entry ids through a key
+/// lookup, so it produces the same permutation, without a cache miss per
+/// comparison. The slab sorts touch disjoint ranges and run on up to
+/// `threads` threads; the result does not depend on the thread count.
+inline std::vector<size_t> StrTile(std::span<StrRecord> records, size_t cap,
+                                   int threads) {
   COSKQ_CHECK_GT(cap, 0u);
-  const size_t n = entries->size();
+  std::vector<size_t> group_ends;
+  const size_t n = records.size();
   if (n == 0) {
-    return;
+    return group_ends;
   }
   const size_t group_count = (n + cap - 1) / cap;
   const size_t slab_count = static_cast<size_t>(
       std::ceil(std::sqrt(static_cast<double>(group_count))));
   const size_t slab_size = (n + slab_count - 1) / slab_count;
 
-  std::sort(entries->begin(), entries->end(),
-            [&](const Entry& a, const Entry& b) {
-              return get_center(a).x < get_center(b).x;
-            });
+  std::sort(records.begin(), records.end(),
+            [](const StrRecord& a, const StrRecord& b) { return a.x < b.x; });
+  ParallelFor((n + slab_size - 1) / slab_size, threads, [&](size_t slab) {
+    const size_t begin = slab * slab_size;
+    const size_t end = std::min(n, begin + slab_size);
+    std::sort(records.begin() + static_cast<ptrdiff_t>(begin),
+              records.begin() + static_cast<ptrdiff_t>(end),
+              [](const StrRecord& a, const StrRecord& b) { return a.y < b.y; });
+  });
   for (size_t slab_begin = 0; slab_begin < n; slab_begin += slab_size) {
     const size_t slab_end = std::min(n, slab_begin + slab_size);
-    std::sort(entries->begin() + static_cast<ptrdiff_t>(slab_begin),
-              entries->begin() + static_cast<ptrdiff_t>(slab_end),
-              [&](const Entry& a, const Entry& b) {
-                return get_center(a).y < get_center(b).y;
-              });
     for (size_t begin = slab_begin; begin < slab_end; begin += cap) {
-      const size_t end = std::min(slab_end, begin + cap);
-      make_group(begin, end);
+      group_ends.push_back(std::min(slab_end, begin + cap));
     }
   }
+  return group_ends;
 }
 
 }  // namespace internal_index

@@ -19,6 +19,7 @@
 #include "data/term_set.h"
 #include "engine/batch_engine.h"
 #include "util/logging.h"
+#include "util/parallel.h"
 
 namespace coskq {
 
@@ -69,8 +70,7 @@ CoskqServer::CoskqServer(const CoskqContext& context,
   if (options_.num_workers > 0) {
     resolved_workers_ = options_.num_workers;
   } else {
-    const unsigned hw = std::thread::hardware_concurrency();
-    resolved_workers_ = hw == 0 ? 1 : static_cast<int>(hw);
+    resolved_workers_ = HardwareThreads();
   }
   if (options_.result_cache_mb > 0 && !ResultCache::ForceDisabledByEnv()) {
     ResultCache::Options cache_options;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -59,15 +60,77 @@ std::string AsciiToLower(std::string_view text) {
   return result;
 }
 
+namespace {
+
+/// Consumes 1..max_digits ASCII digits at text[*pos]; false if none.
+bool ConsumeDigits(std::string_view text, size_t* pos, size_t max_digits) {
+  const size_t begin = *pos;
+  while (*pos < text.size() && *pos - begin < max_digits &&
+         text[*pos] >= '0' && text[*pos] <= '9') {
+    ++*pos;
+  }
+  return *pos > begin;
+}
+
+/// True iff `text` is a plain decimal: an optional '-', 1–20 integer
+/// digits, an optional '.' with 1–30 fraction digits, and an optional
+/// exponent of 1–2 digits. Every such value lies well inside the normal
+/// double range (no overflow, no subnormal), where std::from_chars and
+/// strtod both return the correctly rounded value and never set ERANGE.
+bool IsPlainDecimal(std::string_view text) {
+  size_t pos = text.size() > 0 && text[0] == '-' ? 1 : 0;
+  if (!ConsumeDigits(text, &pos, 20)) {
+    return false;
+  }
+  if (pos < text.size() && text[pos] == '.') {
+    ++pos;
+    if (!ConsumeDigits(text, &pos, 30)) {
+      return false;
+    }
+  }
+  if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
+    ++pos;
+    if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) {
+      ++pos;
+    }
+    if (!ConsumeDigits(text, &pos, 2)) {
+      return false;
+    }
+  }
+  return pos == text.size();
+}
+
+}  // namespace
+
 bool ParseDouble(std::string_view text, double* value) {
   if (text.empty()) {
     return false;
   }
-  std::string buffer(text);
+  double parsed = 0.0;
+  if (IsPlainDecimal(text)) {
+    // The common spelling (every SaveToFile coordinate but the tiniest):
+    // ~4x faster than strtod and bit-identical on this grammar.
+    std::from_chars(text.data(), text.data() + text.size(), parsed);
+    *value = parsed;
+    return true;
+  }
+  // Everything else (hex, '+', inf/nan, leading whitespace, out-of-range)
+  // keeps strtod's exact semantics. strtod needs a terminated copy; short
+  // fields stay on the stack.
+  char stack_buffer[64];
+  std::string heap_buffer;
+  const char* buffer = stack_buffer;
+  if (text.size() < sizeof(stack_buffer)) {
+    std::memcpy(stack_buffer, text.data(), text.size());
+    stack_buffer[text.size()] = '\0';
+  } else {
+    heap_buffer.assign(text);
+    buffer = heap_buffer.c_str();
+  }
   errno = 0;
   char* end = nullptr;
-  double parsed = std::strtod(buffer.c_str(), &end);
-  if (errno != 0 || end != buffer.c_str() + buffer.size()) {
+  parsed = std::strtod(buffer, &end);
+  if (errno != 0 || end != buffer + text.size()) {
     return false;
   }
   *value = parsed;

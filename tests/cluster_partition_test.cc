@@ -27,6 +27,9 @@
 namespace coskq {
 namespace {
 
+using test::RemoveDir;
+using test::UniqueTempDir;
+
 /// Overlap area of two closed rects (0 when they only share an edge).
 double OverlapArea(const Rect& a, const Rect& b) {
   const double w = std::min(a.max_x, b.max_x) - std::max(a.min_x, b.min_x);
@@ -135,11 +138,10 @@ class ClusterBuildTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dataset_ = test::MakeRandomDataset(250, 35, 3.0, 20130625);
-    dir_ = ::testing::TempDir() + "/coskq_cluster_build";
-    // Recreate the directory fresh (TempDir persists across tests).
-    std::string cmd = "rm -rf '" + dir_ + "' && mkdir -p '" + dir_ + "'";
-    ASSERT_EQ(std::system(cmd.c_str()), 0);
+    dir_ = UniqueTempDir("coskq_cluster_build");
   }
+
+  void TearDown() override { RemoveDir(dir_); }
 
   Dataset dataset_;
   std::string dir_;
@@ -230,9 +232,7 @@ class ManifestCodecTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dataset_ = test::MakeRandomDataset(60, 20, 2.5, 31337);
-    dir_ = ::testing::TempDir() + "/coskq_manifest_codec";
-    std::string cmd = "rm -rf '" + dir_ + "' && mkdir -p '" + dir_ + "'";
-    ASSERT_EQ(std::system(cmd.c_str()), 0);
+    dir_ = UniqueTempDir("coskq_manifest_codec");
     BuildClusterOptions options;
     options.num_shards = 3;
     StatusOr<ClusterManifest> built =
@@ -241,6 +241,8 @@ class ManifestCodecTest : public ::testing::Test {
     manifest_ = std::move(*built);
     bytes_ = manifest_.Encode();
   }
+
+  void TearDown() override { RemoveDir(dir_); }
 
   Dataset dataset_;
   std::string dir_;

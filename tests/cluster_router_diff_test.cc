@@ -44,6 +44,9 @@
 namespace coskq {
 namespace {
 
+using test::RemoveDir;
+using test::UniqueTempDir;
+
 constexpr uint32_t kShards = 4;
 
 /// Blocking socket with byte-exact reads for the version-mismatch test.
@@ -128,9 +131,7 @@ class ClusterRouterDiffTest : public ::testing::Test {
     index_ = std::make_unique<IrTree>(&dataset_);
     context_ = CoskqContext{&dataset_, index_.get()};
 
-    dir_ = ::testing::TempDir() + "/coskq_cluster_router";
-    std::string cmd = "rm -rf '" + dir_ + "' && mkdir -p '" + dir_ + "'";
-    ASSERT_EQ(std::system(cmd.c_str()), 0);
+    dir_ = UniqueTempDir("coskq_cluster_router");
 
     BuildClusterOptions build;
     build.num_shards = kShards;
@@ -183,6 +184,7 @@ class ClusterRouterDiffTest : public ::testing::Test {
       server->Shutdown();
       server->Wait();
     }
+    RemoveDir(dir_);
   }
 
   struct QueryPair {
@@ -460,9 +462,7 @@ TEST(ClusterRouterWideKeywordTest, ChunkedHarvestIsBitIdentical) {
   }
   ASSERT_GT(wide_terms.size(), kMaxRelevantKeywords);
 
-  const std::string dir = ::testing::TempDir() + "/coskq_cluster_wide";
-  const std::string cmd = "rm -rf '" + dir + "' && mkdir -p '" + dir + "'";
-  ASSERT_EQ(std::system(cmd.c_str()), 0);
+  const std::string dir = UniqueTempDir("coskq_cluster_wide");
   BuildClusterOptions build;
   build.num_shards = 2;
   StatusOr<ClusterManifest> built = BuildShardedCluster(dataset, dir, build);
@@ -546,6 +546,7 @@ TEST(ClusterRouterWideKeywordTest, ChunkedHarvestIsBitIdentical) {
     server->Shutdown();
     server->Wait();
   }
+  RemoveDir(dir);
 }
 
 // Client churn must never wedge the router: a finished connection is

@@ -6,6 +6,7 @@
 #include "index/snapshot.h"
 
 #include <string.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -31,8 +32,10 @@ constexpr size_t kVersionOffset = 4;      // uint16
 constexpr size_t kBodyBytesOffset = 40;   // uint64
 constexpr size_t kLayoutOffset = 48;      // uint32, v2 only
 
+/// Per-process temp path: `ctest -j` runs the cases of one fixture as
+/// concurrent processes, and they must not rewrite each other's files.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(getpid()) + "_" + name;
 }
 
 std::vector<char> ReadAll(const std::string& path) {

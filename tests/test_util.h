@@ -2,8 +2,13 @@
 #define COSKQ_TESTS_TEST_UTIL_H_
 
 // Helpers shared by the test suites: small random datasets and queries with
-// reproducible seeds.
+// reproducible seeds, and per-process temp directories.
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -36,6 +41,25 @@ inline CoskqQuery MakeRandomQuery(const Dataset& dataset, size_t k,
   QueryGenerator gen(&dataset);
   Rng rng(seed);
   return gen.Generate(k, &rng);
+}
+
+/// A fresh, empty directory under the test temp dir, named `name` plus the
+/// process id: `ctest -j` runs the cases of one fixture as concurrent
+/// processes, and they must not clobber each other's files.
+inline std::string UniqueTempDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name + "_" +
+                          std::to_string(getpid());
+  const std::string cmd = "rm -rf '" + dir + "' && mkdir -p '" + dir + "'";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  return dir;
+}
+
+/// Removes a directory made by UniqueTempDir (no-op for "").
+inline void RemoveDir(const std::string& dir) {
+  if (!dir.empty()) {
+    const std::string cmd = "rm -rf '" + dir + "'";
+    EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  }
 }
 
 }  // namespace test

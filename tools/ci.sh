@@ -2,14 +2,16 @@
 # CI matrix for the coskq tree: {Release, ThreadSanitizer, ASan+UBSan} x the
 # fast test tier (`ctest -L fast`). The Release job also runs the slow tier.
 #
-# The TSan job is the enforcement mechanism for two concurrency contracts:
+# The TSan job is the enforcement mechanism for three concurrency contracts:
 # the BatchEngine contract that concurrent solves over one immutable
 # CoskqContext are race-free (engine_batch_test re-run with
 # COSKQ_TEST_THREADS=8 so every batch assertion doubles as an 8-worker race
-# probe), and the live-update contract that a background Refreeze() epoch
+# probe), the live-update contract that a background Refreeze() epoch
 # swap is invisible to in-flight readers (index_refreeze_race_test run
 # explicitly so the writer/refreezer/query-storm interleaving is always
-# probed under TSan, not just in the plain fast tier). It also re-runs
+# probed under TSan, not just in the plain fast tier), and the contract that
+# the parallel set-up path builds exactly the sequential result
+# (setup_identity_test, run explicitly the same way). It also re-runs
 # cache_invalidation_test with COSKQ_TEST_THREADS=8: the result-cache
 # storm races query/mutate lanes against background refreezes over the
 # sharded cache's per-shard leaf mutexes.
@@ -29,7 +31,9 @@
 # SIGTERM.
 #
 # The perf job is opt-in (not part of the default matrix): it builds
-# Release, runs the A/B benchmarks (hot path, dataset suite, frozen IR-tree
+# Release, runs the repository benchmark's four workloads in smoke mode
+# (benchmark/run.sh --smoke: every reply checked bitwise) plus one
+# --corrupt-reference run that must fail, runs the A/B benchmarks (hot path, dataset suite, frozen IR-tree
 # layout, out-of-core scalability) at the same scale the committed
 # BENCH_*.json baselines were recorded at, and gates on
 # tools/bench_compare.py: any directional metric more than 25% worse than
@@ -160,6 +164,11 @@ for job in "${JOBS[@]}"; do
       # for; run it explicitly so a labels change can never drop it.
       TSAN_OPTIONS="halt_on_error=1" \
           ./build-ci-tsan/tests/index_refreeze_race_test
+      # The set-up path: chunk-parallel dataset load and level-parallel STR
+      # build over a 93k-object corpus, checked against recorded goldens and
+      # a sequential reference parser. Run explicitly for the same reason.
+      TSAN_OPTIONS="halt_on_error=1" \
+          ./build-ci-tsan/tests/setup_identity_test
       # The cluster router: thread-per-connection scatter-gather over
       # per-connection shard clients, plus the bit-identity acceptance
       # sweep. Run explicitly so a labels change can never drop it.
@@ -254,6 +263,18 @@ for job in "${JOBS[@]}"; do
       # bit-identity against the direct solve, a >=50% hit rate, and a >=3x
       # cached p50 speedup before it writes the report.
       run_gated_bench bench_cache BENCH_cache.json 20
+
+      echo "== perf: repository benchmark smoke (benchmark/run.sh) =="
+      # Every workload end to end with short phases: the run exits nonzero
+      # unless every reply is bitwise identical to a direct solve. A run
+      # with one reference answer flipped must then fail, which proves that
+      # gate fires.
+      benchmark/run.sh --smoke
+      if benchmark/run.sh --smoke --workload appro_zipf --corrupt-reference \
+          > build-ci-perf/corrupt-reference.log 2>&1; then
+        echo "benchmark accepted a corrupted reference answer"
+        exit 1
+      fi
 
       echo "== perf: out-of-core smoke under a hard address-space cap =="
       # A budget-capped cold-mmap batch must complete inside a 256 MiB
