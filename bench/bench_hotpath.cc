@@ -91,8 +91,7 @@ MicroCell RunNnSetMicro(const BenchWorkload& w,
   for (const CoskqQuery& q : queries) {
     TermSet missing;
     checksum_base += w.index->NnSet(q.location, q.keywords, &missing).size();
-    scratch.BeginQuery(q.location, q.keywords, w.index->node_id_limit(),
-                       w.dataset.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     checksum_mask +=
         w.index->NnSet(q.location, q.keywords, &missing, &scratch).size();
     scratch.FinishQuery();
@@ -116,8 +115,7 @@ MicroCell RunNnSetMicro(const BenchWorkload& w,
     for (size_t rep = 0; rep < reps; ++rep) {
       for (const CoskqQuery& q : queries) {
         TermSet missing;
-        scratch.BeginQuery(q.location, q.keywords, w.index->node_id_limit(),
-                           w.dataset.NumObjects());
+        scratch.BeginQuery(q.location, q.keywords);
         checksum_mask +=
             w.index->NnSet(q.location, q.keywords, &missing, &scratch).size();
         scratch.FinishQuery();
@@ -152,8 +150,7 @@ MicroCell RunRangeMicro(const BenchWorkload& w,
     w.index->RangeRelevant(Circle(q.location, kRangeRadius), q.keywords,
                            &out);
     checksum_base += out.size();
-    scratch.BeginQuery(q.location, q.keywords, w.index->node_id_limit(),
-                       w.dataset.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     out.clear();
     w.index->RangeRelevant(Circle(q.location, kRangeRadius), q.keywords,
                            &out, &scratch);
@@ -179,8 +176,7 @@ MicroCell RunRangeMicro(const BenchWorkload& w,
     timer.Restart();
     for (size_t rep = 0; rep < reps; ++rep) {
       for (const CoskqQuery& q : queries) {
-        scratch.BeginQuery(q.location, q.keywords, w.index->node_id_limit(),
-                           w.dataset.NumObjects());
+        scratch.BeginQuery(q.location, q.keywords);
         out.clear();
         w.index->RangeRelevant(Circle(q.location, kRangeRadius), q.keywords,
                                &out, &scratch);
@@ -243,8 +239,7 @@ MicroCell RunRangeWarmMicro(const BenchWorkload& w,
     for (size_t rep = 0; rep < reps; ++rep) {
       for (const CoskqQuery& q : queries) {
         TermSet missing;
-        scratch.BeginQuery(q.location, q.keywords, w.index->node_id_limit(),
-                           w.dataset.NumObjects());
+        scratch.BeginQuery(q.location, q.keywords);
         w.index->NnSet(q.location, q.keywords, &missing, &scratch);
         timer.Restart();
         out.clear();

@@ -143,8 +143,7 @@ void BM_IrTreeNnSetMasked(benchmark::State& state) {
   SearchScratch scratch;
   for (auto _ : state) {
     const CoskqQuery q = gen.Generate(5, &rng);
-    scratch.BeginQuery(q.location, q.keywords, tree.node_id_limit(),
-                       ds.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     TermSet missing;
     benchmark::DoNotOptimize(
         tree.NnSet(q.location, q.keywords, &missing, &scratch));
@@ -182,8 +181,7 @@ void BM_IrTreeRangeRelevantMasked(benchmark::State& state) {
   std::vector<ObjectId> out;
   for (auto _ : state) {
     const CoskqQuery q = gen.Generate(5, &rng);
-    scratch.BeginQuery(q.location, q.keywords, tree.node_id_limit(),
-                       ds.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     out.clear();
     tree.RangeRelevant(Circle(q.location, 0.05), q.keywords, &out, &scratch);
     scratch.FinishQuery();

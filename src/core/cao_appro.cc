@@ -23,8 +23,7 @@ std::string CaoAppro1::name() const {
 CoskqResult CaoAppro1::Solve(const CoskqQuery& query) {
   WallTimer timer;
   SolveStats stats;
-  scratch_.BeginQuery(query.location, query.keywords, index().node_id_limit(),
-                      dataset().NumObjects());
+  scratch_.BeginQuery(query.location, query.keywords);
   const auto finalize = [&](CoskqResult result) {
     scratch_.FinishQuery();
     result.stats.dist_cache_hits = scratch_.dist_cache_hits();
@@ -60,8 +59,7 @@ std::string CaoAppro2::name() const {
 CoskqResult CaoAppro2::Solve(const CoskqQuery& query) {
   WallTimer timer;
   SolveStats stats;
-  scratch_.BeginQuery(query.location, query.keywords, index().node_id_limit(),
-                      dataset().NumObjects());
+  scratch_.BeginQuery(query.location, query.keywords);
   const auto finalize = [&](CoskqResult result) {
     scratch_.FinishQuery();
     result.stats.dist_cache_hits = scratch_.dist_cache_hits();

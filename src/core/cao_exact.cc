@@ -136,8 +136,7 @@ std::string CaoExact::name() const {
 CoskqResult CaoExact::Solve(const CoskqQuery& query) {
   WallTimer timer;
   SolveStats stats;
-  scratch_.BeginQuery(query.location, query.keywords, index().node_id_limit(),
-                      dataset().NumObjects());
+  scratch_.BeginQuery(query.location, query.keywords);
   const auto finalize = [&](CoskqResult result) {
     scratch_.FinishQuery();
     result.stats.dist_cache_hits = scratch_.dist_cache_hits();

@@ -23,10 +23,15 @@ std::string OwnerDrivenAppro::name() const {
 }
 
 CoskqResult OwnerDrivenAppro::Solve(const CoskqQuery& query) {
+  return Solve(query, WallTimer(), 0.0);
+}
+
+CoskqResult OwnerDrivenAppro::Solve(const CoskqQuery& query,
+                                    const WallTimer& clock,
+                                    double deadline_ms) {
   WallTimer timer;
   SolveStats stats;
-  scratch_.BeginQuery(query.location, query.keywords, index().node_id_limit(),
-                      dataset().NumObjects());
+  scratch_.BeginQuery(query.location, query.keywords);
   const auto finalize = [&](CoskqResult result) {
     scratch_.FinishQuery();
     result.stats.dist_cache_hits = scratch_.dist_cache_hits();
@@ -91,6 +96,10 @@ CoskqResult OwnerDrivenAppro::Solve(const CoskqQuery& query) {
 
   size_t prefix_end = 0;  // cands[0, prefix_end) have dist_q <= o.dist_q.
   for (size_t idx = 0; idx < cands.size(); ++idx) {
+    if (deadline_ms > 0.0 && clock.ElapsedMillis() > deadline_ms) {
+      stats.truncated = true;
+      break;
+    }
     const Candidate& o = cands[idx];
     while (prefix_end < cands.size() &&
            cands[prefix_end].dist_q <= o.dist_q) {

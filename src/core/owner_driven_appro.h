@@ -10,6 +10,7 @@
 #include "core/cost.h"
 #include "core/solver.h"
 #include "index/search_scratch.h"
+#include "util/timer.h"
 
 namespace coskq {
 
@@ -52,6 +53,15 @@ class OwnerDrivenAppro : public CoskqSolver {
   CostType cost_type() const override { return type_; }
 
  private:
+  friend class OwnerDrivenExact;
+
+  /// Solve as the exact solver's incumbent seeder: once `clock` reads past
+  /// `deadline_ms` (0 = none), the anchor loop stops and the incumbent
+  /// comes back with stats.truncated set. Standalone solves pass no
+  /// deadline.
+  CoskqResult Solve(const CoskqQuery& query, const WallTimer& clock,
+                    double deadline_ms);
+
   CostType type_;
   Options options_;
   /// Per-solver scratch and enumeration buffers pooled across Solve calls;

@@ -278,8 +278,7 @@ std::string OwnerDrivenExact::name() const {
 CoskqResult OwnerDrivenExact::Solve(const CoskqQuery& query) {
   WallTimer timer;
   SolveStats stats;
-  scratch_.BeginQuery(query.location, query.keywords, index().node_id_limit(),
-                      dataset().NumObjects());
+  scratch_.BeginQuery(query.location, query.keywords);
   const auto finalize = [&](CoskqResult result) {
     scratch_.FinishQuery();
     result.stats.dist_cache_hits = scratch_.dist_cache_hits();
@@ -300,15 +299,29 @@ CoskqResult OwnerDrivenExact::Solve(const CoskqQuery& query) {
   double cur_cost =
       EvaluateCost(type_, dataset(), query.location, cur_set, &scratch_);
   const double d_f = nn.max_dist;
+  // The deadline is checked before each seeder anchor, each step-1 circle
+  // search and each step-2 pair. Once it has passed, expired() sets
+  // stats.truncated and the incumbent is returned.
+  const auto expired = [&] {
+    if (options_.deadline_ms > 0.0 &&
+        timer.ElapsedMillis() > options_.deadline_ms) {
+      stats.truncated = true;
+    }
+    return stats.truncated;
+  };
 
   // Optional incumbent seeding: the approximate answer is feasible and
   // usually near-optimal, which tightens every bound below before the
   // expensive enumeration starts (exactness is unaffected).
   if (seeder_ != nullptr) {
-    CoskqResult seeded = seeder_->Solve(query);
+    CoskqResult seeded = seeder_->Solve(query, timer, options_.deadline_ms);
     if (seeded.feasible && seeded.cost < cur_cost) {
       cur_cost = seeded.cost;
       cur_set = std::move(seeded.set);
+    }
+    if (seeded.stats.truncated) {
+      stats.truncated = true;
+      return finalize(MakeResult(query, std::move(cur_set), stats));
     }
   }
 
@@ -431,7 +444,7 @@ CoskqResult OwnerDrivenExact::Solve(const CoskqQuery& query) {
   }
   if (options_.use_pair_distance_bounds) {
     std::vector<ObjectId>& hits = ws_->hits;
-    for (uint32_t i = 0; i < cands.size(); ++i) {
+    for (uint32_t i = 0; i < cands.size() && !expired(); ++i) {
       // Any pair kept by consider_pair satisfies
       // d_ij < curCost - max(d_i, d_f) (MaxSum) resp. d_ij < curCost (Dia).
       const double cap = type_ == CostType::kMaxSum
@@ -449,11 +462,14 @@ CoskqResult OwnerDrivenExact::Solve(const CoskqQuery& query) {
       }
     }
   } else {
-    for (uint32_t i = 0; i < cands.size(); ++i) {
+    for (uint32_t i = 0; i < cands.size() && !expired(); ++i) {
       for (uint32_t j = i + 1; j < cands.size(); ++j) {
         consider_pair(i, j, pair_dist(i, j));
       }
     }
+  }
+  if (stats.truncated) {
+    return finalize(MakeResult(query, std::move(cur_set), stats));
   }
 
   if (options_.use_cost_lb_ordering) {
@@ -472,9 +488,7 @@ CoskqResult OwnerDrivenExact::Solve(const CoskqQuery& query) {
   std::vector<Candidate>& lens = ws_->lens;
   std::vector<uint64_t>& lens_mask = ws_->lens_mask;
   for (const PairCand& pair : pairs) {
-    if (options_.deadline_ms > 0.0 &&
-        timer.ElapsedMillis() > options_.deadline_ms) {
-      stats.truncated = true;
+    if (expired()) {
       break;
     }
     if (pair.cost_lb >= cur_cost) {

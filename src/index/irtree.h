@@ -311,9 +311,10 @@ class IrTree {
   size_t NodeCount() const;
 
   /// One past the largest node id in the tree. Node ids are dense
-  /// (renumbered in preorder after every structural change), so per-node
-  /// caches in SearchScratch are flat arrays of this length. Stable while a
-  /// ReadGuard is held.
+  /// (renumbered in preorder after every structural change). SearchScratch
+  /// does not use this limit: its per-node memo is a table keyed by node id
+  /// and sized by the nodes a query touches. Stable while a ReadGuard is
+  /// held.
   uint32_t node_id_limit() const { return next_node_id_; }
 
   /// Monotone counter bumped by every Refreeze() swap; a query observing

@@ -34,26 +34,117 @@ struct HeapEntry {
 };
 static_assert(sizeof(HeapEntry) == 24, "aux must fit in former padding");
 
+/// Open-addressing memo of one query's per-id values, keyed by a 32-bit id
+/// (an ObjectId or an IR-tree node id). A slot holds an epoch stamp, the
+/// id, a valid bit each for the mask and the distance, and both values.
+/// A slot is occupied iff its stamp equals the table's epoch, so NextEpoch()
+/// empties the table in O(1); entries are never removed within a query.
+///
+/// Memory follows what a query touches, not the index: the capacity is a
+/// power of two kept at most half full (linear probing from a Fibonacci
+/// hash of the id), grows by rehashing the live entries when an insert
+/// would pass half, and is kept across epochs.
+class MemoTable {
+ public:
+  struct Slot {
+    uint64_t epoch = 0;
+    uint32_t id = 0;
+    bool has_mask = false;
+    bool has_distance = false;
+    uint64_t mask = 0;
+    double distance = 0.0;
+  };
+
+  /// Empties the table; capacity is kept.
+  void NextEpoch() {
+    ++epoch_;
+    size_ = 0;
+  }
+
+  /// The live slot of `id`, or nullptr. Read-only: never inserts.
+  const Slot* Find(uint32_t id) const {
+    if (slots_.empty()) {
+      return nullptr;
+    }
+    const Slot& slot = slots_[Probe(id)];
+    return slot.epoch == epoch_ ? &slot : nullptr;
+  }
+
+  /// The live slot of `id`, inserted with both valid bits clear if absent.
+  /// The reference stays valid until the next FindOrInsert.
+  Slot& FindOrInsert(uint32_t id) {
+    if (!slots_.empty()) {
+      const size_t i = Probe(id);
+      if (slots_[i].epoch == epoch_) {
+        return slots_[i];
+      }
+      if (2 * (size_ + 1) <= slots_.size()) {
+        return Claim(i, id);
+      }
+    }
+    return GrowAndInsert(id);
+  }
+
+  /// Live entries this epoch.
+  size_t size() const { return size_; }
+  /// Slots allocated (a power of two, or 0 before the first insert).
+  size_t capacity() const { return slots_.size(); }
+  size_t bytes() const { return slots_.capacity() * sizeof(Slot); }
+
+ private:
+  /// Index of `id`'s live slot, or of the empty slot ending its probe run.
+  /// Terminates because the table is never more than half full.
+  size_t Probe(uint32_t id) const {
+    const size_t wrap = slots_.size() - 1;
+    size_t i = static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (slots_[i].epoch == epoch_ && slots_[i].id != id) {
+      i = (i + 1) & wrap;
+    }
+    return i;
+  }
+  /// Occupies the empty slot `i` for `id`, with both valid bits clear.
+  Slot& Claim(size_t i, uint32_t id) {
+    Slot& slot = slots_[i];
+    slot = Slot{};
+    slot.epoch = epoch_;
+    slot.id = id;
+    ++size_;
+    return slot;
+  }
+  /// Doubles the capacity (first allocation: a fixed initial size),
+  /// rehashes the live entries, then inserts `id`.
+  Slot& GrowAndInsert(uint32_t id);
+
+  std::vector<Slot> slots_;
+  /// 64 - log2(capacity): the hash keeps the product's top bits.
+  unsigned shift_ = 64;
+  uint64_t epoch_ = 1;
+  size_t size_ = 0;
+};
+static_assert(sizeof(MemoTable::Slot) == 32, "two slots per cache line");
+
 }  // namespace internal_index
 
 /// Per-query search state pooled across a batch: query-keyword bitmask
 /// caches for IR-tree nodes and objects, memoized query-to-object and
 /// query-to-node distances, and reusable traversal buffers. (Pairwise
 /// object distances are deliberately NOT memoized: a 2-D Euclidean
-/// distance costs less than the table probe that would replace it.) One SearchScratch belongs to exactly one
-/// solver instance (and therefore to one thread under the BatchEngine's
-/// one-solver-per-worker contract); it is never shared.
+/// distance costs less than the table probe that would replace it.) One
+/// SearchScratch belongs to exactly one solver instance (and therefore to
+/// one thread under the BatchEngine's one-solver-per-worker contract); it is
+/// never shared.
 ///
 /// Lifecycle per query:
-///   scratch.BeginQuery(q.λ, q.ψ, tree.node_id_limit(), dataset.NumObjects());
+///   scratch.BeginQuery(q.λ, q.ψ);
 ///   ... masked traversals / cached distance lookups ...
 ///   scratch.FinishQuery();   // audits pooled-buffer growth
 ///
-/// Caches are invalidated by a per-query epoch stamp instead of clearing, so
-/// BeginQuery is O(1) in the cache sizes once the arrays are grown. After
-/// the first few queries of a batch every pooled buffer has reached its
-/// steady-state capacity and `realloc_events()` stays 0 — the property the
-/// batch tests assert.
+/// The caches are two MemoTables, one keyed by ObjectId and one by node id,
+/// so a scratch's memory follows the entries its queries touch, never the
+/// size of the index. They are invalidated by a per-query epoch stamp
+/// instead of clearing, so BeginQuery is O(1). After the first few queries
+/// of a batch every pooled buffer has reached its steady-state capacity and
+/// `realloc_events()` stays 0 — the property the batch tests assert.
 ///
 /// With `set_enabled(false)` (the A/B baseline switch) `mask_active()` is
 /// false and the distance memo is bypassed: every scratch-aware overload in
@@ -70,11 +161,10 @@ class SearchScratch {
   bool enabled() const { return enabled_; }
 
   /// Starts a new query: bumps the cache epoch, rebinds the keyword mask,
-  /// sizes the cache arrays, and resets the per-query counters. Capacity
-  /// snapshots for the realloc audit are taken *before* any sizing, so
-  /// first-query warm-up growth is visible in realloc_events().
-  void BeginQuery(const Point& origin, const TermSet& keywords,
-                  size_t node_id_limit, size_t num_objects);
+  /// and resets the per-query counters. Capacities are snapshotted here for
+  /// the realloc audit, so memo growth during the query is visible in
+  /// realloc_events().
+  void BeginQuery(const Point& origin, const TermSet& keywords);
 
   /// Ends the query: counts pooled buffers whose capacity changed since
   /// BeginQuery into realloc_events() / total_realloc_events().
@@ -148,6 +238,14 @@ class SearchScratch {
   uint64_t total_realloc_events() const { return total_realloc_events_; }
   uint64_t queries_started() const { return queries_started_; }
 
+  /// Test-only footprint probes: entries the current query put in the
+  /// object and node memos, and the bytes both tables hold.
+  size_t ObjectEntriesForTesting() const { return objects_.size(); }
+  size_t NodeEntriesForTesting() const { return nodes_.size(); }
+  size_t MemoBytesForTesting() const {
+    return objects_.bytes() + nodes_.bytes();
+  }
+
   /// Test instrumentation: when non-null, masked IR-tree traversals append
   /// the id of every node they expand. Not owned; callers manage lifetime
   /// and clearing.
@@ -155,26 +253,12 @@ class SearchScratch {
   std::vector<uint32_t>* visit_log() const { return visit_log_; }
 
  private:
-  /// Epoch-stamped cache entries packed value-next-to-stamp so a lookup
-  /// touches one cache line, not one per array.
-  struct MaskSlot {
-    uint64_t epoch = 0;
-    uint64_t mask = 0;
-  };
-  struct DistSlot {
-    uint64_t epoch = 0;
-    double distance = 0.0;
-  };
-
   bool enabled_ = true;
   QueryTermMask mask_;
   Point origin_;
-  uint64_t epoch_ = 0;
 
-  std::vector<MaskSlot> node_masks_;
-  std::vector<DistSlot> node_dists_;
-  std::vector<MaskSlot> obj_masks_;
-  std::vector<DistSlot> dists_;
+  internal_index::MemoTable objects_;
+  internal_index::MemoTable nodes_;
 
   std::vector<internal_index::HeapEntry> heap_;
   std::vector<ObjectId> id_buffer_;

@@ -101,8 +101,7 @@ TEST_P(MaskDiffTest, NnSetVisitSequencesIdenticalToBaseline) {
       tree_->KeywordNn(q.location, t, &d, &base_log);
     }
 
-    scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                       dataset_.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     std::vector<uint32_t> mask_log;
     scratch.set_visit_log(&mask_log);
     TermSet base_missing;
@@ -131,8 +130,7 @@ TEST_P(MaskDiffTest, RangeRelevantVisitSequencesIdenticalToBaseline) {
     std::vector<uint32_t> base_log;
     tree_->RangeRelevant(circle, q.keywords, &base_out, &base_log);
 
-    scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                       dataset_.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     std::vector<ObjectId> mask_out;
     std::vector<uint32_t> mask_log;
     scratch.set_visit_log(&mask_log);

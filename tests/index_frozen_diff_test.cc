@@ -114,8 +114,7 @@ TEST_P(FrozenDiffTest, MaskedNnSetVisitSequencesIdentical) {
     TermSet want_missing;
 
     tree_->set_frozen_enabled(false);
-    scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                       dataset_.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     scratch.set_visit_log(&want_log);
     want = tree_->NnSet(q.location, q.keywords, &want_missing, &scratch);
     scratch.set_visit_log(nullptr);
@@ -126,8 +125,7 @@ TEST_P(FrozenDiffTest, MaskedNnSetVisitSequencesIdentical) {
       std::vector<uint32_t> got_log;
       std::vector<ObjectId> got;
       TermSet got_missing;
-      scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                         dataset_.NumObjects());
+      scratch.BeginQuery(q.location, q.keywords);
       scratch.set_visit_log(&got_log);
       got = tree_->NnSet(q.location, q.keywords, &got_missing, &scratch);
       scratch.set_visit_log(nullptr);
@@ -165,8 +163,7 @@ TEST_P(FrozenDiffTest, RangeRelevantVisitSequencesIdentical) {
 
     // Masked with visit logs through the scratch.
     tree_->set_frozen_enabled(false);
-    scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                       dataset_.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     std::vector<ObjectId> want_mout;
     std::vector<uint32_t> want_mlog;
     scratch.set_visit_log(&want_mlog);
@@ -176,8 +173,7 @@ TEST_P(FrozenDiffTest, RangeRelevantVisitSequencesIdentical) {
 
     tree_->set_frozen_enabled(true);
     ForEachKernel([&] {
-      scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                         dataset_.NumObjects());
+      scratch.BeginQuery(q.location, q.keywords);
       std::vector<ObjectId> got_mout;
       std::vector<uint32_t> got_mlog;
       scratch.set_visit_log(&got_mlog);
@@ -216,8 +212,7 @@ TEST_P(FrozenDiffTest, RelevantStreamDrainsIdentically) {
     // Masked streams (scratch caches shared within each drain).
     want.clear();
     tree_->set_frozen_enabled(false);
-    scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                       dataset_.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     {
       IrTree::RelevantStream stream(tree_.get(), q.location, q.keywords,
                                     &scratch);
@@ -229,8 +224,7 @@ TEST_P(FrozenDiffTest, RelevantStreamDrainsIdentically) {
     tree_->set_frozen_enabled(true);
     ForEachKernel([&] {
       std::vector<std::pair<ObjectId, double>> got;
-      scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                         dataset_.NumObjects());
+      scratch.BeginQuery(q.location, q.keywords);
       {
         IrTree::RelevantStream stream(tree_.get(), q.location, q.keywords,
                                       &scratch);

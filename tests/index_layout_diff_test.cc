@@ -124,8 +124,7 @@ TEST_P(LayoutDiffTest, MaskedNnSetVisitSequencesIdentical) {
       std::vector<uint32_t> want_log;
       std::vector<ObjectId> want;
       TermSet want_missing;
-      scratch.BeginQuery(q.location, q.keywords, bfs_->node_id_limit(),
-                         dataset_.NumObjects());
+      scratch.BeginQuery(q.location, q.keywords);
       scratch.set_visit_log(&want_log);
       want = bfs_->NnSet(q.location, q.keywords, &want_missing, &scratch);
       scratch.set_visit_log(nullptr);
@@ -134,8 +133,7 @@ TEST_P(LayoutDiffTest, MaskedNnSetVisitSequencesIdentical) {
       std::vector<uint32_t> got_log;
       std::vector<ObjectId> got;
       TermSet got_missing;
-      scratch.BeginQuery(q.location, q.keywords, lg_->node_id_limit(),
-                         dataset_.NumObjects());
+      scratch.BeginQuery(q.location, q.keywords);
       scratch.set_visit_log(&got_log);
       got = lg_->NnSet(q.location, q.keywords, &got_missing, &scratch);
       scratch.set_visit_log(nullptr);
@@ -166,8 +164,7 @@ TEST_P(LayoutDiffTest, RangeRelevantVisitSequencesIdentical) {
       EXPECT_EQ(got_log, want_log) << "RangeRelevant expansion diverged";
 
       // Masked with visit logs through the scratch.
-      scratch.BeginQuery(q.location, q.keywords, bfs_->node_id_limit(),
-                         dataset_.NumObjects());
+      scratch.BeginQuery(q.location, q.keywords);
       std::vector<ObjectId> want_mout;
       std::vector<uint32_t> want_mlog;
       scratch.set_visit_log(&want_mlog);
@@ -175,8 +172,7 @@ TEST_P(LayoutDiffTest, RangeRelevantVisitSequencesIdentical) {
       scratch.set_visit_log(nullptr);
       scratch.FinishQuery();
 
-      scratch.BeginQuery(q.location, q.keywords, lg_->node_id_limit(),
-                         dataset_.NumObjects());
+      scratch.BeginQuery(q.location, q.keywords);
       std::vector<ObjectId> got_mout;
       std::vector<uint32_t> got_mlog;
       scratch.set_visit_log(&got_mlog);
@@ -214,8 +210,7 @@ TEST_P(LayoutDiffTest, RelevantStreamDrainsIdentically) {
       // Masked streams (scratch caches shared within each drain).
       want.clear();
       got.clear();
-      scratch.BeginQuery(q.location, q.keywords, bfs_->node_id_limit(),
-                         dataset_.NumObjects());
+      scratch.BeginQuery(q.location, q.keywords);
       {
         IrTree::RelevantStream stream(bfs_.get(), q.location, q.keywords,
                                       &scratch);
@@ -224,8 +219,7 @@ TEST_P(LayoutDiffTest, RelevantStreamDrainsIdentically) {
         }
       }
       scratch.FinishQuery();
-      scratch.BeginQuery(q.location, q.keywords, lg_->node_id_limit(),
-                         dataset_.NumObjects());
+      scratch.BeginQuery(q.location, q.keywords);
       {
         IrTree::RelevantStream stream(lg_.get(), q.location, q.keywords,
                                       &scratch);

@@ -101,10 +101,9 @@ TEST(QueryTermMaskTest, SubmaskOfAcceptsExactlyTheQuerySubsets) {
 
 TEST(SearchScratchTest, QueryDistanceMatchesPlainDistanceAndMemoizes) {
   Dataset ds = test::MakeRandomDataset(100, 20, 3.0, 77);
-  IrTree tree(&ds);
   SearchScratch scratch;
   const Point q{0.3, 0.7};
-  scratch.BeginQuery(q, TermSet{0, 1}, tree.node_id_limit(), ds.NumObjects());
+  scratch.BeginQuery(q, TermSet{0, 1});
   for (ObjectId id = 0; id < ds.NumObjects(); ++id) {
     const Point& p = ds.object(id).location;
     const double want = Distance(q, p);
@@ -116,8 +115,7 @@ TEST(SearchScratchTest, QueryDistanceMatchesPlainDistanceAndMemoizes) {
 
   // A new query invalidates every memoized distance by epoch, not by wipe.
   const Point q2{0.9, 0.1};
-  scratch.BeginQuery(q2, TermSet{0, 1}, tree.node_id_limit(),
-                     ds.NumObjects());
+  scratch.BeginQuery(q2, TermSet{0, 1});
   const Point& p0 = ds.object(0).location;
   EXPECT_EQ(scratch.QueryDistance(0, p0), Distance(q2, p0));
   EXPECT_EQ(scratch.dist_cache_hits(), 0u);
@@ -125,10 +123,9 @@ TEST(SearchScratchTest, QueryDistanceMatchesPlainDistanceAndMemoizes) {
 
 TEST(SearchScratchTest, NodeMinDistanceMatchesRectMinDistance) {
   Dataset ds = test::MakeRandomDataset(60, 15, 3.0, 78);
-  IrTree tree(&ds);
   SearchScratch scratch;
   const Point q{0.5, 0.5};
-  scratch.BeginQuery(q, TermSet{0}, tree.node_id_limit(), ds.NumObjects());
+  scratch.BeginQuery(q, TermSet{0});
   const Rect mbr(0.1, 0.2, 0.3, 0.4);
   const double want = mbr.MinDistance(q);
   EXPECT_EQ(scratch.NodeMinDistance(7, mbr), want);  // miss, then
@@ -136,16 +133,14 @@ TEST(SearchScratchTest, NodeMinDistanceMatchesRectMinDistance) {
 
   // A new query origin invalidates the memo by epoch.
   const Point q2{0.9, 0.9};
-  scratch.BeginQuery(q2, TermSet{0}, tree.node_id_limit(), ds.NumObjects());
+  scratch.BeginQuery(q2, TermSet{0});
   EXPECT_EQ(scratch.NodeMinDistance(7, mbr), mbr.MinDistance(q2));
 }
 
 TEST(SearchScratchTest, CachedMaskProbesAreReadOnly) {
   Dataset ds = test::MakeRandomDataset(60, 15, 3.0, 78);
-  IrTree tree(&ds);
   SearchScratch scratch;
-  scratch.BeginQuery(Point{0.5, 0.5}, ds.object(3).keywords,
-                     tree.node_id_limit(), ds.NumObjects());
+  scratch.BeginQuery(Point{0.5, 0.5}, ds.object(3).keywords);
   uint64_t mask = ~uint64_t{0};
   // Cold probes report a miss and must not populate the slot.
   EXPECT_FALSE(scratch.CachedObjectMask(3, &mask));
@@ -160,11 +155,9 @@ TEST(SearchScratchTest, CachedMaskProbesAreReadOnly) {
 
 TEST(SearchScratchTest, DisabledScratchBypassesMaskAndMemo) {
   Dataset ds = test::MakeRandomDataset(50, 10, 3.0, 79);
-  IrTree tree(&ds);
   SearchScratch scratch;
   scratch.set_enabled(false);
-  scratch.BeginQuery(Point{0.2, 0.2}, TermSet{0, 1, 2}, tree.node_id_limit(),
-                     ds.NumObjects());
+  scratch.BeginQuery(Point{0.2, 0.2}, TermSet{0, 1, 2});
   EXPECT_FALSE(scratch.mask_active());
   const Point& p = ds.object(3).location;
   EXPECT_EQ(scratch.QueryDistance(3, p), Distance(Point{0.2, 0.2}, p));
@@ -184,8 +177,7 @@ TEST(SearchScratchTest, NoReallocationsOnceWarm) {
   SearchScratch scratch;
   for (int pass = 0; pass < 2; ++pass) {
     for (const CoskqQuery& q : queries) {
-      scratch.BeginQuery(q.location, q.keywords, tree.node_id_limit(),
-                         ds.NumObjects());
+      scratch.BeginQuery(q.location, q.keywords);
       TermSet missing;
       tree.NnSet(q.location, q.keywords, &missing, &scratch);
       std::vector<ObjectId>& hits = scratch.id_buffer();
@@ -221,8 +213,7 @@ TEST_P(MaskedTraversalTest, KeywordNnExpandsIdenticalNodeSequences) {
   for (int trial = 0; trial < 30; ++trial) {
     const CoskqQuery q = test::MakeRandomQuery(dataset_, 3 + trial % 4,
                                                GetParam() * 100 + trial);
-    scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                       dataset_.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     ASSERT_TRUE(scratch.mask_active());
     for (TermId t : q.keywords) {
       std::vector<uint32_t> base_log;
@@ -249,8 +240,7 @@ TEST_P(MaskedTraversalTest, KeywordNnFallsBackForNonQueryKeywords) {
   SearchScratch scratch;
   const CoskqQuery q =
       test::MakeRandomQuery(dataset_, 3, GetParam() * 7 + 3);
-  scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                     dataset_.NumObjects());
+  scratch.BeginQuery(q.location, q.keywords);
   // A keyword outside q.ψ must still be answered (via the baseline path).
   TermId outside = 0;
   while (TermSetContains(q.keywords, outside)) {
@@ -281,8 +271,7 @@ TEST_P(MaskedTraversalTest, NnSetBitIdenticalIncludingMissingKeywords) {
     const std::vector<ObjectId> base =
         tree.NnSet(q.location, q.keywords, &base_missing);
 
-    scratch.BeginQuery(q.location, q.keywords, tree.node_id_limit(),
-                       ds.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     TermSet mask_missing;
     const std::vector<ObjectId> masked =
         tree.NnSet(q.location, q.keywords, &mask_missing, &scratch);
@@ -299,8 +288,7 @@ TEST_P(MaskedTraversalTest, RangeRelevantBitIdenticalOnFullAndSubQueries) {
   for (int trial = 0; trial < 25; ++trial) {
     const CoskqQuery q = test::MakeRandomQuery(dataset_, 3 + trial % 3,
                                                GetParam() * 13 + trial);
-    scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                       dataset_.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     const double radius = 0.05 + 0.5 * rng.UniformDouble();
     const Circle circle(q.location, radius);
 
@@ -332,8 +320,7 @@ TEST_P(MaskedTraversalTest, RelevantStreamYieldsIdenticalSequences) {
   for (int trial = 0; trial < 10; ++trial) {
     const CoskqQuery q = test::MakeRandomQuery(dataset_, 4,
                                                GetParam() * 17 + trial);
-    scratch.BeginQuery(q.location, q.keywords, tree_->node_id_limit(),
-                       dataset_.NumObjects());
+    scratch.BeginQuery(q.location, q.keywords);
     IrTree::RelevantStream base(tree_.get(), q.location, q.keywords);
     IrTree::RelevantStream masked(tree_.get(), q.location, q.keywords,
                                   &scratch);

@@ -211,8 +211,11 @@ for job in "${JOBS[@]}"; do
           -DCOSKQ_SANITIZE=""
       mkdir -p build-ci-perf/perf
 
-      # Prove the gate itself works before trusting it with a verdict.
+      # Prove the gates themselves work before trusting them with a
+      # verdict: the 25% baseline diff below, and the repository
+      # benchmark's pair rule that compares two commits.
       python3 tools/bench_compare.py --self-test
+      python3 benchmark/compare.py --self-test
 
       # The regression gate: each benchmark runs at the exact config its
       # committed BENCH_*.json baseline was recorded at, and bench_compare

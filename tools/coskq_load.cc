@@ -2,9 +2,13 @@
 //
 // Drives a running `coskq_cli serve` instance at a target arrival rate:
 // request k is *scheduled* at k/QPS seconds after start regardless of how
-// fast earlier requests completed (open loop — no coordinated omission), so
-// a saturated server shows up as shed OVERLOADED responses and latency
-// inflation instead of a silently reduced offered rate.
+// fast earlier requests completed (open loop), so a saturated server shows
+// up as shed OVERLOADED responses and latency inflation instead of a
+// silently reduced offered rate. Each lane sends synchronously, so a
+// request that falls due while its lane still waits on an earlier reply
+// goes out late; its latency runs from its scheduled slot, not from the
+// send, so that wait is charged to it (no coordinated omission). The send
+// lag — how late requests left — is printed beside the latency line.
 //
 //   coskq_load <host> <port> <dataset.txt>
 //       [--qps Q] [--duration-s D] [--connections C] [--keywords K]
@@ -69,7 +73,6 @@
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace coskq {
 namespace {
@@ -109,9 +112,11 @@ constexpr int kMutateKind = 3;
 /// Sample.kind value for an in-band mutation rejection.
 constexpr int kMutateErrorKind = 4;
 
-/// Per-request record; kind -1 marks a transport failure.
+/// Per-request record; kind -1 marks a transport failure. Latency runs
+/// from the request's scheduled slot; send_lag_ms is how late it was sent.
 struct Sample {
   double latency_ms = 0.0;
+  double send_lag_ms = 0.0;
   int kind = -1;
   QueryOutcome outcome = QueryOutcome::kExecuted;
 };
@@ -394,6 +399,12 @@ int RunLoad(const LoadConfig& config) {
                         std::chrono::duration<double>(
                             static_cast<double>(i) / config.qps));
         std::this_thread::sleep_until(scheduled);
+        const auto millis_since_scheduled = [&scheduled] {
+          return std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - scheduled)
+              .count();
+        };
+        samples[i].send_lag_ms = millis_since_scheduled();
         if (mutate_slot[i] != 0) {
           MutateRequest mutation;
           const bool remove = !lane_inserted.empty() &&
@@ -417,9 +428,8 @@ int RunLoad(const LoadConfig& config) {
                   dataset.vocabulary().TermString(term));
             }
           }
-          WallTimer timer;
           StatusOr<MutateReply> reply = client.Mutate(mutation);
-          samples[i].latency_ms = timer.ElapsedMillis();
+          samples[i].latency_ms = millis_since_scheduled();
           if (reply.ok()) {
             samples[i].kind = kMutateKind;
             if (mutation.op == MutateRequest::Op::kInsert) {
@@ -436,9 +446,8 @@ int RunLoad(const LoadConfig& config) {
           }
           continue;
         }
-        WallTimer timer;
         StatusOr<QueryReply> reply = client.Query(requests[i]);
-        samples[i].latency_ms = timer.ElapsedMillis();
+        samples[i].latency_ms = millis_since_scheduled();
         if (!reply.ok()) {
           transport_errors.fetch_add(1);
           return;  // The connection is unusable; stop this lane.
@@ -467,7 +476,12 @@ int RunLoad(const LoadConfig& config) {
   size_t mutations_rejected = 0;
   std::vector<double> ok_latencies;
   ok_latencies.reserve(total);
+  std::vector<double> send_lags;
+  send_lags.reserve(total);
   for (const Sample& s : samples) {
+    if (s.kind != -1) {
+      send_lags.push_back(s.send_lag_ms);
+    }
     switch (s.kind) {
       case static_cast<int>(QueryReply::Kind::kResult):
         if (s.outcome == QueryOutcome::kDeadlineTruncated) {
@@ -521,13 +535,15 @@ int RunLoad(const LoadConfig& config) {
                 mutations_rejected);
   }
   if (!ok_latencies.empty()) {
-    std::printf("latency p50=%s p95=%s p99=%s max=%s\n",
+    std::printf("latency p50=%s p95=%s p99=%s max=%s send-lag p50=%s p99=%s\n",
                 FormatMillis(Percentile(ok_latencies, 50.0)).c_str(),
                 FormatMillis(Percentile(ok_latencies, 95.0)).c_str(),
                 FormatMillis(Percentile(ok_latencies, 99.0)).c_str(),
                 FormatMillis(*std::max_element(ok_latencies.begin(),
                                                ok_latencies.end()))
-                    .c_str());
+                    .c_str(),
+                FormatMillis(Percentile(send_lags, 50.0)).c_str(),
+                FormatMillis(Percentile(send_lags, 99.0)).c_str());
     PrintHistogram(ok_latencies);
   }
   if (stats_after.ok() && stats_after->cache_enabled != 0) {
