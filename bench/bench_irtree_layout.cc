@@ -1,21 +1,16 @@
-// F1/F2 — Frozen flat IR-tree A/B benchmark: contiguous SoA node layout
-// versus the pointer tree, plus snapshot cold-start timing.
+// F2 — IR-tree cold start: STR rebuild versus snapshot load.
 //
-// F1 replays solver batches through the BatchEngine on the hotel-like and
-// web-like workloads with the frozen fast path off and on (the same IrTree,
-// toggled via set_frozen_enabled, so the only variable is the memory layout
-// the traversals walk). Both sides must return bit-identical results — any
-// divergence aborts the benchmark. The geometric-mean speedup across all
-// cells is the headline number.
-//
-// F2 times index preparation three ways: STR rebuild from the dataset,
+// Times index preparation three ways: STR rebuild from the dataset,
 // SaveSnapshot, and LoadSnapshot (mmap). load_speedup = rebuild / load is
 // the cold-start win a server gets from `serve --index-snapshot`.
+//
+// The pointer-vs-frozen solver cells (F1) retired with the pointer tree;
+// frozen solver speed is measured by bench_hotpath, bench_simd and the
+// repository benchmark (benchmark/).
 //
 // Writes BENCH_irtree_layout.json for tools/bench_compare.py.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -25,7 +20,6 @@
 #include "benchlib/harness.h"
 #include "benchlib/json_writer.h"
 #include "benchlib/table.h"
-#include "engine/batch_engine.h"
 #include "index/irtree.h"
 #include "index/residency.h"
 #include "index/snapshot.h"
@@ -34,91 +28,6 @@
 
 namespace coskq {
 namespace {
-
-constexpr size_t kTimingRounds = 3;
-
-struct SolverCell {
-  std::string solver;
-  std::string dataset;
-  int threads = 0;
-  BatchStats pointer;  // wall_ms holds the best round
-  BatchStats frozen;   // wall_ms holds the best round
-  double pointer_wall_median_ms = 0.0;
-  double frozen_wall_median_ms = 0.0;
-  bool identical = false;
-  double speedup = 0.0;         // best / best
-  double median_speedup = 0.0;  // median / median — what bench_compare gates
-};
-
-SolverCell RunSolverAb(const BenchWorkload& w, const std::string& solver,
-                       int threads, const std::vector<CoskqQuery>& queries) {
-  SolverCell cell;
-  cell.solver = solver;
-  cell.dataset = w.name;
-  cell.threads = threads;
-
-  BatchOptions options;
-  options.solver_name = solver;
-  options.num_threads = threads;
-  options.use_query_masks = true;
-  BatchEngine engine(w.context(), options);
-
-  // Warm-up once per side; the warm walls calibrate a repeat count so each
-  // timed round runs at least ~250 ms of solves — a single batch at small
-  // scales finishes in single-digit milliseconds, where timer and scheduler
-  // noise swamps a 10-20% layout effect.
-  w.index->set_frozen_enabled(false);
-  BatchOutcome pointer = engine.Run(queries);
-  w.index->set_frozen_enabled(true);
-  BatchOutcome frozen = engine.Run(queries);
-  const double warm_wall =
-      std::max(pointer.stats.wall_ms, frozen.stats.wall_ms);
-  const size_t repeats = static_cast<size_t>(std::min(
-      1000.0, std::max(1.0, std::ceil(250.0 / std::max(0.01, warm_wall)))));
-
-  // Interleaved rounds, each side's wall averaged over its repeats; record
-  // every round so the report can carry both the fastest round (a scheduler
-  // hiccup penalizes one round, not one layout) and the median (the number
-  // tools/bench_compare.py gates on).
-  auto run_side = [&](bool frozen_on, BatchOutcome* outcome) {
-    w.index->set_frozen_enabled(frozen_on);
-    double total = 0.0;
-    for (size_t r = 0; r < repeats; ++r) {
-      BatchOutcome o = engine.Run(queries);
-      total += o.stats.wall_ms;
-      *outcome = std::move(o);
-    }
-    return total / static_cast<double>(repeats);
-  };
-  RoundSamples pointer_rounds;
-  RoundSamples frozen_rounds;
-  for (size_t round = 0; round < kTimingRounds; ++round) {
-    pointer_rounds.Add(run_side(false, &pointer));
-    frozen_rounds.Add(run_side(true, &frozen));
-  }
-  pointer.stats.wall_ms = pointer_rounds.best();
-  frozen.stats.wall_ms = frozen_rounds.best();
-  cell.pointer_wall_median_ms = pointer_rounds.median();
-  cell.frozen_wall_median_ms = frozen_rounds.median();
-
-  cell.pointer = pointer.stats;
-  cell.frozen = frozen.stats;
-  cell.identical = pointer.results.size() == frozen.results.size();
-  for (size_t i = 0; cell.identical && i < pointer.results.size(); ++i) {
-    cell.identical =
-        pointer.results[i].feasible == frozen.results[i].feasible &&
-        pointer.results[i].set == frozen.results[i].set &&
-        pointer.results[i].cost == frozen.results[i].cost;
-  }
-  cell.speedup = frozen.stats.wall_ms > 0.0
-                     ? pointer.stats.wall_ms / frozen.stats.wall_ms
-                     : 0.0;
-  cell.median_speedup =
-      cell.frozen_wall_median_ms > 0.0
-          ? cell.pointer_wall_median_ms / cell.frozen_wall_median_ms
-          : 0.0;
-  return cell;
-}
 
 struct ColdStartCell {
   std::string dataset;
@@ -134,14 +43,12 @@ ColdStartCell RunColdStart(const BenchWorkload& w) {
   cell.dataset = w.name;
   const std::string path = "/tmp/coskq_bench_layout_" + w.name + ".cqix";
 
-  // Preparation is millisecond-scale, so take the min over more rounds than
-  // the solver A/B needs.
+  // Preparation is millisecond-scale, so take the min over several rounds.
   constexpr size_t kColdStartRounds = 7;
   WallTimer timer;
   for (size_t round = 0; round < kColdStartRounds; ++round) {
     timer.Restart();
     IrTree rebuilt(&w.dataset);
-    rebuilt.Freeze();
     const double b = timer.ElapsedMillis();
     cell.rebuild_ms = round == 0 ? b : std::min(cell.rebuild_ms, b);
 
@@ -183,13 +90,11 @@ ColdStartCell RunColdStart(const BenchWorkload& w) {
 
 void Run() {
   const BenchConfig config = BenchConfig::FromEnv();
-  std::printf("== F1/F2: frozen flat IR-tree vs pointer tree ==\n");
+  std::printf("== F2: IR-tree cold start ==\n");
   std::printf("config: %s\n\n", config.ToString().c_str());
 
   BenchWorkload hotel = MakeHotelWorkload(config);
   BenchWorkload web = MakeWebWorkload(config);
-  hotel.index->Freeze();
-  web.index->Freeze();
 
   JsonWriter json;
   json.BeginObject();
@@ -198,55 +103,7 @@ void Run() {
   json.Key("queries").Value(config.queries);
   json.Key("seed").Value(config.seed);
 
-  std::printf("== F1: solver batches, pointer vs frozen layout ==\n");
-  TablePrinter e2e({"Dataset", "Solver", "Threads", "Pointer wall",
-                    "Frozen wall", "Speedup", "Frozen qps", "Identical"});
-  json.Key("solvers").BeginArray();
-  double log_speedup_sum = 0.0;
-  size_t cells = 0;
-  for (BenchWorkload* wp : {&hotel, &web}) {
-    const std::vector<CoskqQuery> queries = MakeQueries(*wp, 6, config);
-    for (const char* solver : {"maxsum-appro", "dia-appro"}) {
-      const SolverCell cell = RunSolverAb(*wp, solver, 1, queries);
-      e2e.AddRow({cell.dataset, cell.solver, std::to_string(cell.threads),
-                  FormatMillis(cell.pointer.wall_ms),
-                  FormatMillis(cell.frozen.wall_ms),
-                  FormatDouble(cell.speedup, 2) + "x",
-                  FormatDouble(cell.frozen.QueriesPerSecond(), 1),
-                  cell.identical ? "yes" : "NO"});
-      json.BeginObject();
-      json.Key("dataset").Value(cell.dataset);
-      json.Key("solver").Value(cell.solver);
-      json.Key("threads").Value(cell.threads);
-      json.Key("pointer_wall_ms").Value(cell.pointer.wall_ms);
-      json.Key("frozen_wall_ms").Value(cell.frozen.wall_ms);
-      json.Key("pointer_wall_median_ms").Value(cell.pointer_wall_median_ms);
-      json.Key("frozen_wall_median_ms").Value(cell.frozen_wall_median_ms);
-      json.Key("speedup").Value(cell.speedup);
-      json.Key("median_speedup").Value(cell.median_speedup);
-      json.Key("frozen_qps").Value(cell.frozen.QueriesPerSecond());
-      json.Key("frozen_p95_ms").Value(cell.frozen.p95_ms);
-      json.Key("identical").Value(cell.identical);
-      json.EndObject();
-      if (!cell.identical) {
-        std::fprintf(stderr, "FATAL: frozen batch diverged (%s on %s)\n",
-                     solver, wp->name.c_str());
-        std::exit(1);
-      }
-      if (cell.speedup > 0.0) {
-        log_speedup_sum += std::log(cell.speedup);
-        ++cells;
-      }
-    }
-  }
-  json.EndArray();
-  e2e.Print();
-  const double geomean =
-      cells > 0 ? std::exp(log_speedup_sum / static_cast<double>(cells)) : 0.0;
-  std::printf("\ngeomean solver-batch speedup: %.2fx\n", geomean);
-  json.Key("geomean_speedup").Value(geomean);
-
-  std::printf("\n== F2: cold start — STR rebuild vs snapshot load ==\n");
+  std::printf("== F2: cold start — STR rebuild vs snapshot load ==\n");
   TablePrinter cold({"Dataset", "Rebuild", "Save", "Load (mmap)",
                      "Load speedup", "Snapshot bytes"});
   // How the load rounds defeat the OS page cache left warm by the save.

@@ -142,7 +142,6 @@ PreparedLayout PrepareSnapshot(const Dataset& dataset, FrozenLayout layout,
   IrTree::Options options;
   options.frozen_layout = layout;
   IrTree tree(&dataset, options);
-  tree.Freeze();
   p.build_freeze_ms = timer.ElapsedMillis();
   timer.Restart();
   if (!SaveSnapshot(&tree, p.path).ok()) {
@@ -295,7 +294,7 @@ void Run() {
   }
   std::printf("\n\n");
 
-  // Base GN-like dataset, grown per step. The workload's pointer tree is
+  // Base GN-like dataset, grown per step. The workload's built tree is
   // not used — every measured index comes from a snapshot load.
   BenchWorkload base = MakeGnWorkload(config);
   base.index.reset();

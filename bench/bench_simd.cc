@@ -3,7 +3,7 @@
 // S1 micro-benchmarks the kernel table directly: the batched squared-MINDIST
 // child scan and the Bloom-signature leaf filter, each run per supported
 // kernel (scalar / sse2 / avx2) over synthetic SoA stripes sized to stay in
-// L1, with calibrated >=250 ms timing rounds like bench_irtree_layout. The
+// L1, with calibrated >=250 ms timing rounds. The
 // headline acceptance number is the avx2-vs-scalar child-scan speedup.
 //
 // S2 replays end-to-end solver batches on the hotel-like and web-like
@@ -237,7 +237,6 @@ std::vector<SolverKernelCell> RunSolverKernels(
   options.num_threads = 1;
   options.use_query_masks = true;
   BatchEngine engine(w.context(), options);
-  w.index->set_frozen_enabled(true);
 
   const std::vector<std::string> kernels = SupportedKernelNames();
 
@@ -366,8 +365,6 @@ void Run() {
   std::printf("\n== S2: frozen solver batches per kernel ==\n");
   BenchWorkload hotel = MakeHotelWorkload(config);
   BenchWorkload web = MakeWebWorkload(config);
-  hotel.index->Freeze();
-  web.index->Freeze();
   TablePrinter e2e({"Dataset", "Solver", "Kernel", "Best wall", "Median wall",
                     "Speedup", "Median speedup", "Identical"});
   json.Key("solvers").BeginArray();

@@ -1,6 +1,9 @@
 #include "data/dataset.h"
 
 #include <fcntl.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <string.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -18,20 +21,48 @@
 
 namespace coskq {
 
-TermId Vocabulary::GetOrAdd(std::string_view word) {
-  auto it = word_to_id_.find(word);
-  if (it != word_to_id_.end()) {
-    return it->second;
+size_t Vocabulary::Probe(std::string_view word, size_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const TermId slot = slots_[i];
+    if (slot == 0 ||
+        (hashes_[slot - 1] == hash && id_to_word_[slot - 1] == word)) {
+      return i;
+    }
   }
-  const TermId id = static_cast<TermId>(id_to_word_.size());
-  word_to_id_.emplace(std::string(word), id);
-  id_to_word_.emplace_back(word);
-  return id;
+}
+
+void Vocabulary::Grow() {
+  slots_.assign(std::max<size_t>(64, 2 * slots_.size()), 0);
+  const size_t mask = slots_.size() - 1;
+  for (size_t id = 0; id < hashes_.size(); ++id) {
+    size_t i = hashes_[id] & mask;
+    while (slots_[i] != 0) {
+      i = (i + 1) & mask;
+    }
+    slots_[i] = static_cast<TermId>(id + 1);
+  }
+}
+
+TermId Vocabulary::GetOrAdd(std::string_view word, size_t hash) {
+  if (2 * (id_to_word_.size() + 1) > slots_.size()) {
+    Grow();
+  }
+  const size_t i = Probe(word, hash);
+  if (slots_[i] == 0) {
+    id_to_word_.emplace_back(word);
+    hashes_.push_back(hash);
+    slots_[i] = static_cast<TermId>(id_to_word_.size());
+  }
+  return slots_[i] - 1;
 }
 
 TermId Vocabulary::Find(std::string_view word) const {
-  auto it = word_to_id_.find(word);
-  return it == word_to_id_.end() ? kInvalidTermId : it->second;
+  if (slots_.empty()) {
+    return kInvalidTermId;
+  }
+  const TermId slot = slots_[Probe(word, std::hash<std::string_view>()(word))];
+  return slot == 0 ? kInvalidTermId : slot - 1;
 }
 
 const std::string& Vocabulary::TermString(TermId id) const {
@@ -258,6 +289,8 @@ class ChunkVocabulary {
 
   size_t size() const { return words_.size(); }
   std::string_view word(uint32_t id) const { return words_[id]; }
+  /// std::hash<std::string_view> of word(id).
+  size_t hash(uint32_t id) const { return hashes_[id]; }
 
  private:
   /// slots_ holds local id + 1; 0 (a fresh mapping's content) marks an
@@ -422,7 +455,8 @@ StatusOr<Dataset> ParseChunked(std::string_view text,
     const ChunkVocabulary& vocab = parsed[c].vocab;
     to_global[c].reserve(vocab.size());
     for (uint32_t id = 0; id < vocab.size(); ++id) {
-      to_global[c].push_back(dataset.vocab_.GetOrAdd(vocab.word(id)));
+      to_global[c].push_back(
+          dataset.vocab_.GetOrAdd(vocab.word(id), vocab.hash(id)));
     }
   }
   // Rewrite each object's terms to sorted, duplicate-free global ids in
@@ -499,6 +533,12 @@ StatusOr<Dataset> Dataset::LoadFromFile(const std::string& path) {
         std::string_view(static_cast<const char*>(map), size), path,
         DefaultChunkCount(size));
     munmap(map, size);
+#ifdef __GLIBC__
+    // The outgrown object arrays the parse freed stay resident as free heap
+    // once glibc's mmap threshold has risen, which a process's second load
+    // of a large corpus makes it do (DESIGN.md §17); hand them back.
+    malloc_trim(0);
+#endif
     return parsed;
   }
   // Pipes, character devices and empty files: read whatever there is.

@@ -7,7 +7,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -30,12 +29,22 @@ StatusOr<Dataset> ParseChunked(std::string_view text,
 
 /// Bidirectional mapping between keyword strings and dense TermIds.
 /// TermIds are assigned in first-seen order starting at 0.
+///
+/// The word → id direction is a flat open-addressing table of ids over
+/// id_to_word_, probed with std::hash<std::string_view> of the word; each
+/// id's hash is kept, so growing the table never rehashes a string.
 class Vocabulary {
  public:
   Vocabulary() = default;
 
   /// Returns the id of `word`, interning it if unseen.
-  TermId GetOrAdd(std::string_view word);
+  TermId GetOrAdd(std::string_view word) {
+    return GetOrAdd(word, std::hash<std::string_view>()(word));
+  }
+
+  /// As above, with `hash` == std::hash<std::string_view>()(word) already
+  /// computed (the chunked loader's local tables store it).
+  TermId GetOrAdd(std::string_view word, size_t hash);
 
   /// Returns the id of `word`, or kInvalidTermId if unknown.
   TermId Find(std::string_view word) const;
@@ -48,17 +57,17 @@ class Vocabulary {
   static constexpr TermId kInvalidTermId = static_cast<TermId>(-1);
 
  private:
-  /// Transparent hash: lookups by string_view build no temporary string.
-  struct WordHash {
-    using is_transparent = void;
-    size_t operator()(std::string_view word) const {
-      return std::hash<std::string_view>()(word);
-    }
-  };
+  /// The slot holding `word`'s id, or the empty slot where it would go.
+  size_t Probe(std::string_view word, size_t hash) const;
+  /// Doubles the table and re-places every id by its stored hash.
+  void Grow();
 
-  std::unordered_map<std::string, TermId, WordHash, std::equal_to<>>
-      word_to_id_;
   std::vector<std::string> id_to_word_;
+  /// std::hash<std::string_view> of each id's word.
+  std::vector<size_t> hashes_;
+  /// Open-addressing table of id + 1 (0 marks an empty slot); its size is
+  /// a power of two, at most half full.
+  std::vector<TermId> slots_;
 };
 
 /// An in-memory collection of geo-textual objects plus derived statistics:

@@ -51,25 +51,34 @@ TermSet TermSetDifference(const TermSet& a, const TermSet& b) {
 }
 
 bool TermSetIsSubset(const TermSet& sub, const TermSet& super) {
-  return std::includes(super.begin(), super.end(), sub.begin(), sub.end());
+  return TermSpanIncludes(super.data(), super.size(), sub);
 }
 
 size_t TermSetIntersectionSize(const TermSet& a, const TermSet& b) {
-  size_t count = 0;
+  return TermSpanIntersectionSize(a.data(), a.size(), b);
+}
+
+bool TermSpanIncludes(const TermId* terms, size_t count, const TermSet& sub) {
+  return std::includes(terms, terms + count, sub.begin(), sub.end());
+}
+
+size_t TermSpanIntersectionSize(const TermId* terms, size_t count,
+                                const TermSet& b) {
+  size_t common = 0;
   size_t i = 0;
   size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
+  while (i < count && j < b.size()) {
+    if (terms[i] < b[j]) {
       ++i;
-    } else if (b[j] < a[i]) {
+    } else if (b[j] < terms[i]) {
       ++j;
     } else {
-      ++count;
+      ++common;
       ++i;
       ++j;
     }
   }
-  return count;
+  return common;
 }
 
 bool TermSpanContains(const TermId* terms, size_t count, TermId t) {

@@ -51,6 +51,10 @@ void TermSetMergeInto(TermSet* target, const TermSet& addition);
 /// the vector-based helpers bit for bit.
 bool TermSpanContains(const TermId* terms, size_t count, TermId t);
 bool TermSpanIntersects(const TermId* terms, size_t count, const TermSet& b);
+/// True iff `sub` ⊆ the span.
+bool TermSpanIncludes(const TermId* terms, size_t count, const TermSet& sub);
+size_t TermSpanIntersectionSize(const TermId* terms, size_t count,
+                                const TermSet& b);
 
 }  // namespace coskq
 

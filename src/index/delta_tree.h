@@ -15,9 +15,8 @@ namespace coskq {
 ///
 ///   * `inserts`     — ids live in the delta but absent from the frozen base,
 ///                     sorted ascending; `insert_sigs[i]` is the Bloom term
-///                     signature of `inserts[i]` (the delta-side twin of
-///                     IrTree::obj_sigs_, carried here so queries never index
-///                     a signature array that is being resized).
+///                     signature of `inserts[i]` (the delta-side twin of the
+///                     frozen body's leaf signatures).
 ///   * `tombstones`  — ids live in the frozen base but logically deleted,
 ///                     sorted ascending.
 ///

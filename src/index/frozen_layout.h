@@ -5,6 +5,7 @@
 #include <stdint.h>
 
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <type_traits>
@@ -54,10 +55,9 @@ namespace internal_index {
 /// index snapshots, so its layout is part of the snapshot format: any field
 /// change requires a snapshot version bump (see snapshot.h).
 struct FrozenNodeRecord {
-  /// Dense preorder id carried over from the pointer tree. Visit logs and
-  /// the per-node caches of SearchScratch are keyed by this id, which is why
-  /// frozen traversal is observationally identical to the pointer tree even
-  /// though storage order (BFS) differs from id order (preorder).
+  /// Dense preorder id. Visit logs and the per-node caches of SearchScratch
+  /// are keyed by this id, not by the storage order (BFS slots), so both
+  /// body layouts, and the traversals' recorded goldens, agree on them.
   uint32_t id;
   /// Internal nodes: slot of the first child; children occupy
   /// [first_child, first_child + entry_count). Unused (0) for leaves.
@@ -217,9 +217,9 @@ struct FrozenView {
   }
 };
 
-/// Owns the storage behind a FrozenView: either a heap buffer (built by
-/// IrTree::Freeze or by a read-based snapshot load) or an mmap of a snapshot
-/// file. Exactly one of the two is active.
+/// Owns the storage behind a FrozenView: either a heap buffer (written by
+/// the IR-tree build or by a read-based snapshot load) or an mmap of a
+/// snapshot file. Exactly one of the two is active.
 struct FrozenStore {
   FrozenStore() = default;
   ~FrozenStore();
@@ -229,8 +229,16 @@ struct FrozenStore {
 
   FrozenView view;
 
+  /// Allocates the zero-filled heap body `owned` (8-byte aligned) and
+  /// returns it. calloc hands a large body out as fresh kernel-zeroed
+  /// pages, so nothing is zero-filled twice.
+  uint8_t* Allocate(size_t bytes);
+
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const;
+  };
   /// Heap-owned body buffer (layout identical to the snapshot body).
-  std::vector<uint8_t> owned;
+  std::unique_ptr<uint8_t[], FreeDeleter> owned;
 
   /// When loaded via mmap: base and length of the whole mapped file (the
   /// body starts at the snapshot header region size). Unmapped on

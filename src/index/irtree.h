@@ -34,11 +34,11 @@ class SnapshotAccess;
 /// Paging / residency statistics of the frozen body (DESIGN.md §14). For a
 /// heap-built (non-mmap) tree only the process-wide fields are meaningful.
 struct IndexMemoryStats {
-  /// Layout of the frozen body ("bfs" until Freeze() ran).
+  /// Layout of the frozen body.
   FrozenLayout layout = FrozenLayout::kBfs;
   /// True for a cold (non-populated) snapshot mapping.
   bool cold = false;
-  /// Frozen body size in bytes (0 until frozen).
+  /// Frozen body size in bytes.
   uint64_t body_bytes = 0;
   /// Resident bytes of the mapped body (mincore; 0 for heap bodies). For
   /// budget-capped trees this is the last reading the budget enforcement
@@ -69,6 +69,10 @@ struct IndexMemoryStats {
 /// summaries. The traversal order and pruned node sets are identical to a
 /// per-node inverted file.
 ///
+/// The tree is stored in one representation only, the frozen flat body of
+/// frozen_layout.h: the STR bulk load writes it directly, and every query
+/// runs on it.
+///
 /// Supported queries:
 ///  * `KeywordNn(p, t)`        — nearest object containing keyword t.
 ///  * `NnSet(p, terms)`        — the paper's N(q): per-keyword nearest
@@ -78,8 +82,8 @@ struct IndexMemoryStats {
 ///  * `RelevantStream`         — incremental best-first stream of relevant
 ///                               objects in ascending distance from a point.
 ///
-/// Live updates (DESIGN.md §13): once Freeze()-d, the tree accepts
-/// Insert/Remove concurrently with queries. Mutations land in a small
+/// Live updates (DESIGN.md §13): the tree accepts Insert/Remove
+/// concurrently with queries. Mutations land in a small
 /// copy-on-write DeltaTree (tombstones for deletes); every query path merges
 /// the frozen body with the delta it pinned at entry, and a background
 /// Refreeze() periodically folds the delta into a fresh frozen body, swapped
@@ -94,15 +98,15 @@ class IrTree {
   struct Options {
     /// Maximum fan-out per node.
     int max_entries = 32;
-    /// Physical layout Freeze() emits for the frozen body (and thus for
-    /// snapshots saved from this tree). Refreeze() inherits it, and
+    /// Physical layout the build writes the frozen body in (and thus that
+    /// of snapshots saved from this tree). Refreeze() inherits it, and
     /// snapshot-loaded trees adopt the layout recorded in the file so a
     /// later refreeze preserves it. Query results are layout-independent.
     FrozenLayout frozen_layout = FrozenLayout::kBfs;
   };
 
-  /// Builds the tree over all objects of `dataset` with STR bulk loading.
-  /// The dataset must outlive the tree; objects may be appended to it while
+  /// Builds the tree over all objects of `dataset` with STR bulk loading,
+  /// straight into the frozen body. The dataset must outlive the tree; objects may be appended to it while
   /// the tree is alive (Dataset concurrent-append mode), but existing
   /// objects must never change (object ids are stored, object data is
   /// re-read on use).
@@ -128,37 +132,27 @@ class IrTree {
   IrTree(const IrTree&) = delete;
   IrTree& operator=(const IrTree&) = delete;
 
-  /// Makes one object of the dataset (by id) live in the index.
-  ///
-  /// On a Freeze()-d tree (including snapshot-loaded frozen-only trees) the
-  /// insert lands in the delta overlay — the frozen body is untouched, the
-  /// call is safe concurrently with queries, and a query beginning after
-  /// this returns observes the object. Re-inserting a tombstoned id
-  /// resurrects it; inserting an id that is already live is
-  /// InvalidArgument.
-  ///
-  /// On a never-frozen pointer tree this is the classic dynamic R-tree
-  /// insert (quadratic split), kept for the static evaluation setting; that
-  /// path is single-threaded and does not check for duplicates.
+  /// Makes one object of the dataset (by id) live in the index. The insert
+  /// lands in the delta overlay — the frozen body is untouched, the call is
+  /// safe concurrently with queries, and a query beginning after this
+  /// returns observes the object. Re-inserting a tombstoned id resurrects
+  /// it; inserting an id that is already live is InvalidArgument.
   Status Insert(ObjectId id);
 
-  /// Logically deletes one object. Requires a Freeze()-d tree (the delta
-  /// layer): an id pending in the delta is dropped from it, an id live in
-  /// the frozen base gains a tombstone, anything else is NotFound. Safe
-  /// concurrently with queries.
+  /// Logically deletes one object through the delta layer: an id pending
+  /// in the delta is dropped from it, an id live in the frozen base gains a
+  /// tombstone, anything else is NotFound. Safe concurrently with queries.
   Status Remove(ObjectId id);
 
-  /// Compacts the pointer tree into the frozen flat representation
-  /// (breadth-first node records, structure-of-arrays child MBRs, a term
-  /// arena, and packed leaf entries; see frozen_layout.h). All query paths
-  /// then run the frozen fast path, which expands the identical node
-  /// sequence and returns bit-identical results. On an already-frozen tree
-  /// with pending delta mutations this folds the delta synchronously (see
-  /// Refreeze); otherwise idempotent. The pointer tree is retained.
+  /// Folds any pending delta mutations into a fresh frozen body
+  /// synchronously (see Refreeze); a no-op when the delta is empty. Every
+  /// tree is born frozen (breadth-first node records, structure-of-arrays
+  /// child MBRs, a term arena and packed leaf entries; see
+  /// frozen_layout.h), so there is nothing else to compact.
   void Freeze();
 
-  /// Rebuilds the frozen body (and pointer tree) over the current logical
-  /// live set and swaps it in atomically: the build runs outside all locks
+  /// Rebuilds the frozen body over the current logical live set and swaps
+  /// it in atomically: the build runs outside all locks
   /// against a captured delta, in-flight queries finish on the old view,
   /// mutations that arrive during the build survive into the new (much
   /// smaller) delta, and `epoch()` advances exactly when the swap is
@@ -173,18 +167,6 @@ class IrTree {
 
   /// Blocks until no background refreeze is running.
   void WaitForRefreeze();
-
-  /// True iff the frozen representation exists (after Freeze() or for a
-  /// snapshot-loaded tree).
-  bool frozen() const { return frozen_ != nullptr; }
-
-  /// A/B switch for benchmarking: when disabled, queries use the pointer
-  /// tree even if a frozen view exists. Ignored (stays on) for
-  /// snapshot-loaded trees, which have no pointer tree to fall back to, and
-  /// whenever the delta is non-empty (the pointer tree only covers the
-  /// frozen base).
-  void set_frozen_enabled(bool enabled) { frozen_enabled_ = enabled; }
-  bool frozen_enabled() const { return frozen_enabled_; }
 
   /// Pins one consistent view of the index — the current frozen body plus
   /// the delta published at construction time — for the guard's lifetime,
@@ -254,23 +236,24 @@ class IrTree {
   void RangeRelevant(const Circle& circle, const TermSet& query_terms,
                      std::vector<ObjectId>* out, SearchScratch* scratch) const;
 
-  /// Boolean kNN query (Felipe et al., ICDE 2008): the k objects nearest to
-  /// `p` whose keyword sets contain ALL of `required`, in ascending
-  /// distance. Subtrees whose term summary misses any required term are
-  /// pruned. Returns fewer than k pairs if fewer matching objects exist.
-  /// Serves the frozen base only (not delta-aware); requires the pointer
-  /// tree.
+  /// Boolean kNN query (Felipe et al., ICDE 2008): the k live objects
+  /// nearest to `p` whose keyword sets contain ALL of `required`, in
+  /// ascending distance. Subtrees whose term summary misses any required
+  /// term are pruned; tombstoned objects are skipped and matching delta
+  /// inserts compete with the frozen base. Returns fewer than k pairs if
+  /// fewer matching objects exist.
   std::vector<std::pair<ObjectId, double>> BooleanKnn(
       const Point& p, const TermSet& required, size_t k) const;
 
   /// Top-k ranked spatial-keyword query (Cong et al., VLDB 2009): ranks
-  /// objects by score = alpha * d(p, o)/diag + (1 - alpha) * (1 - rel),
+  /// live objects by score = alpha * d(p, o)/diag + (1 - alpha) * (1 - rel),
   /// where rel = |o.ψ ∩ terms| / |terms| and `diag` normalizes distances by
-  /// the diagonal of the tree's MBR. Lower scores are better. Best-first
-  /// with per-subtree score lower bounds (min distance + term-summary
-  /// relevance upper bound). Objects sharing no term still qualify (rel 0),
-  /// matching the standard formulation. Serves the frozen base only (not
-  /// delta-aware); requires the pointer tree.
+  /// the diagonal of the indexed region: the frozen base's MBR grown by the
+  /// pending delta inserts. Lower scores are better. Best-first with
+  /// per-subtree score lower bounds (min distance + term-summary relevance
+  /// upper bound); tombstoned objects are skipped and delta inserts compete
+  /// with the frozen base. Objects sharing no term still qualify (rel 0),
+  /// matching the standard formulation.
   std::vector<std::pair<ObjectId, double>> TopkRanked(
       const Point& p, const TermSet& terms, size_t k, double alpha) const;
 
@@ -307,15 +290,9 @@ class IrTree {
 
   /// Logical live object count: frozen base − tombstones + delta inserts.
   size_t size() const { return size_.load(std::memory_order_relaxed); }
+  /// Levels and nodes of the frozen base (delta inserts never deepen it).
   int Height() const;
   size_t NodeCount() const;
-
-  /// One past the largest node id in the tree. Node ids are dense
-  /// (renumbered in preorder after every structural change). SearchScratch
-  /// does not use this limit: its per-node memo is a table keyed by node id
-  /// and sized by the nodes a query touches. Stable while a ReadGuard is
-  /// held.
-  uint32_t node_id_limit() const { return next_node_id_; }
 
   /// Monotone counter bumped by every Refreeze() swap; a query observing
   /// epoch N runs entirely against the N-th frozen body.
@@ -337,8 +314,9 @@ class IrTree {
   /// with queries.
   IndexMemoryStats MemoryStats() const;
 
-  /// Validates structural invariants: MBR containment, term-summary
-  /// soundness (node terms = union of children), uniform leaf depth, object
+  /// Validates structural invariants of the frozen body: MBR containment,
+  /// term-summary soundness (node terms = union of children), uniform leaf
+  /// depth, dense preorder ids, leaf entries matching the dataset, object
   /// count, and the delta-overlay invariants (sortedness, tombstones ⊆
   /// frozen base, inserts disjoint from it). Aborts on violation;
   /// test-only.
@@ -347,22 +325,25 @@ class IrTree {
   const Dataset& dataset() const { return *dataset_; }
 
  private:
-  struct Node;
-  friend struct RelevantStreamImplAccess;
   /// Snapshot save/load (snapshot.cc) reads the frozen store and constructs
   /// frozen-only trees through the private constructor below.
   friend class internal_index::SnapshotAccess;
 
-  /// Constructs a frozen-only tree (no pointer tree) around a loaded
-  /// snapshot store. Only reachable via LoadSnapshot.
+  /// Constructs a tree around a loaded snapshot store. Only reachable via
+  /// LoadSnapshot.
   IrTree(const Dataset* dataset, const Options& options,
          std::unique_ptr<internal_index::FrozenStore> store);
 
   /// Threads a build over `entries` objects may use: build_threads_, or 1
   /// below the size where starting threads costs more than it saves.
   int BuildThreads(size_t entries) const;
-  void BulkLoad(std::vector<ObjectId> ids);
-  void AssignNodeIds();
+  /// STR bulk load of `ids` straight into a frozen body (irtree_build.cc),
+  /// which it then adopts.
+  void Build(const std::vector<ObjectId>& ids);
+  /// Installs a freshly built or loaded body as the frozen base of a tree
+  /// under construction: its live count, membership bitmap and signature
+  /// density.
+  void Adopt(std::unique_ptr<internal_index::FrozenStore> store);
 
   // ReadGuard plumbing (see irtree.cc for the per-thread slot table).
   void GuardAcquire() const;
@@ -381,26 +362,12 @@ class IrTree {
   bool LiveInBase(ObjectId id) const {
     return id < frozen_live_.size() && frozen_live_[id] != 0;
   }
-  /// Rebuilds frozen_live_ from the frozen view's packed leaf ids.
-  void RebuildFrozenLive();
-  /// The classic dynamic R-tree insert on the pointer tree (pre-freeze).
-  Status InsertPointer(ObjectId id);
 
-  /// True iff queries should take the frozen fast path. A frozen-only tree
-  /// always does (there is no pointer tree to fall back to), and so does
-  /// any query that pinned a non-empty delta (the pointer tree only covers
-  /// the frozen base).
-  bool UseFrozen(const DeltaTree* delta) const {
-    return frozen_ != nullptr &&
-           (frozen_enabled_ || root_ == nullptr || delta != nullptr);
-  }
-
-  // Frozen fast paths (irtree_frozen.cc). Each mirrors the corresponding
-  // pointer-tree traversal exactly: same child visit order, same pruning
-  // predicates, same heap discipline, same distance arithmetic — so results,
-  // costs, and node-visit logs are bit-identical. `delta` (nullable) only
-  // suppresses tombstoned leaf entries; delta-insert candidates are merged
-  // by the callers in irtree.cc.
+  // The traversals (irtree_frozen.cc). Each keeps the child visit order,
+  // pruning predicates, heap discipline and distance arithmetic pinned by
+  // the recorded visit-log goldens (tests/index_frozen_goldens.inc).
+  // `delta` (nullable) only suppresses tombstoned leaf entries; delta-insert
+  // candidates are merged by the callers in irtree.cc.
   ObjectId FrozenKeywordNn(const Point& p, TermId t, double* distance,
                            std::vector<uint32_t>* visit_log,
                            const DeltaTree* delta) const;
@@ -416,39 +383,29 @@ class IrTree {
                                  std::vector<ObjectId>* out,
                                  SearchScratch* scratch,
                                  const DeltaTree* delta) const;
-  /// Structural validation of the frozen arrays against the dataset (used
-  /// by CheckInvariants for snapshot-loaded trees, and to cross-check the
-  /// frozen view against the pointer tree after Freeze()).
+  /// Structural validation of the frozen arrays against the dataset (the
+  /// body half of CheckInvariants).
   void CheckFrozenInvariants() const;
 
   const Dataset* dataset_;
   Options options_;
-  /// Thread budget of the STR bulk load and Freeze() (DESIGN.md §17):
+  /// Thread budget of the STR bulk load (DESIGN.md §17):
   /// HardwareThreads() unless the constructor pinned it (1 for Refreeze()'s
   /// rebuild and the router's per-query tree). Every build is identical
   /// for any value.
   int build_threads_ = 1;
-  std::unique_ptr<Node> root_;
-  /// Per-object one-bit Bloom signatures (see term_signature.h), indexed by
-  /// ObjectId; the O(1) definite-negative pre-filter the masked traversals
-  /// apply before the exact cached-mask test. Covers the frozen base only —
-  /// delta inserts carry their signatures in DeltaTree::insert_sigs.
-  std::vector<uint64_t> obj_sigs_;
-  /// Total set bits across the object signatures (leaf_sigs for a
-  /// snapshot-loaded tree — the same multiset). The mean density feeds the
-  /// masked-range prune-rate estimate in RangeRelevant: dense signatures
-  /// (keyword-heavy corpora) make the Bloom pre-filter worthless, and the
-  /// dispatcher then takes the plain scan instead. Frozen-base-only; the
-  /// estimate ignores the (bounded-size) delta.
+  /// Total set bits across the frozen base's leaf signatures. The mean
+  /// density feeds the masked-range prune-rate estimate in RangeRelevant:
+  /// dense signatures (keyword-heavy corpora) make the Bloom pre-filter
+  /// worthless, and the dispatcher then takes the plain scan instead.
+  /// Frozen-base-only; the estimate ignores the (bounded-size) delta.
   uint64_t obj_sig_bits_sum_ = 0;
   /// Logical live count (atomic: mutators bump it while queries read it;
   /// queries use it only for emptiness checks and the prune-rate estimate,
   /// where momentary staleness is harmless).
   std::atomic<size_t> size_{0};
-  uint32_t next_node_id_ = 0;
-  /// Frozen flat representation (see frozen_layout.h); null until Freeze().
+  /// Frozen flat representation (see frozen_layout.h); never null.
   std::unique_ptr<internal_index::FrozenStore> frozen_;
-  bool frozen_enabled_ = true;
   /// Membership bitmap of the frozen base, indexed by ObjectId. Written
   /// only while holding both mutate_mutex_ and the unique swap lock (or
   /// before serving starts); read by mutators under mutate_mutex_ and by

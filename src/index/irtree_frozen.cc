@@ -1,28 +1,25 @@
-// Frozen flat IR-tree: IrTree::Freeze() and the frozen fast paths.
+// Frozen flat IR-tree: the body layout, Refreeze(), and the traversals.
 //
-// The frozen representation stores the tree as contiguous arrays (see
-// frozen_layout.h): breadth-first node records, structure-of-arrays node
-// MBRs so a parent's per-child MINDIST scan reads four contiguous double
-// ranges, a term arena holding every node summary and leaf object keyword
-// set as sorted spans, and leaf entries (id, location, Bloom signature,
-// keyword span) packed in traversal order so leaf scans never touch the
-// Dataset.
+// The tree is stored as contiguous arrays (see frozen_layout.h; the STR
+// build in irtree_build.cc writes them): breadth-first node records,
+// structure-of-arrays node MBRs so a parent's per-child MINDIST scan reads
+// four contiguous double ranges, a term arena holding every node summary and
+// leaf object keyword set as sorted spans, and leaf entries (id, location,
+// Bloom signature, keyword span) packed in traversal order so leaf scans
+// never touch the Dataset.
 //
-// Bit-identity contract: every frozen traversal mirrors its pointer-tree
-// counterpart exactly — same child visit order (BFS slots preserve the
-// pointer tree's child order), same pruning predicates evaluated in the same
-// short-circuit order, the same best-first heap discipline over entries
-// compared by distance only, and the same floating-point arithmetic
-// (Rect::MinDistance's max/max/sqrt sequence reproduced over the SoA
-// arrays). Node records keep the pointer tree's preorder ids, so visit logs
-// and the SearchScratch per-node caches are keyed identically. The
-// index_frozen_diff_test suite proves the contract over 50 seeds.
+// Traversal contract: children are visited in slot order (the STR tile
+// order), pruning predicates run in a fixed short-circuit order, best-first
+// heaps compare entries by distance only, and Rect::MinDistance's
+// max/max/sqrt sequence is reproduced over the SoA arrays. Node records
+// carry preorder ids, which key visit logs and the SearchScratch per-node
+// caches. index_frozen_diff_test pins all of it over 50 seeds against
+// recorded visit-log and solver goldens, under every SIMD kernel.
 
-#include <string.h>
+#include <stdlib.h>
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <iterator>
 #include <limits>
@@ -30,13 +27,11 @@
 
 #include "index/frozen_layout.h"
 #include "index/irtree.h"
-#include "index/irtree_node.h"
 #include "index/kernels.h"
 #include "index/residency.h"
 #include "index/search_scratch.h"
 #include "index/term_signature.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace coskq {
 
@@ -47,8 +42,6 @@ using internal_index::FrozenStore;
 using internal_index::FrozenView;
 using internal_index::KernelOps;
 using internal_index::kGroupBytes;
-using internal_index::kGroupMask;
-using internal_index::kGroupShift;
 using internal_index::kGroupSlots;
 using internal_index::PrefetchHint;
 using internal_index::PrefetchNextPop;
@@ -138,6 +131,15 @@ FrozenStore::~FrozenStore() {
     munmap(mapped, mapped_size);
   }
 }
+
+uint8_t* FrozenStore::Allocate(size_t bytes) {
+  owned.reset(static_cast<uint8_t*>(calloc(bytes, 1)));
+  COSKQ_CHECK(owned != nullptr) << "cannot allocate " << bytes
+                                << " bytes of frozen body";
+  return owned.get();
+}
+
+void FrozenStore::FreeDeleter::operator()(uint8_t* p) const { free(p); }
 
 size_t FrozenStore::BodyBytes(FrozenLayout layout, uint32_t num_nodes,
                               uint32_t num_leaf_entries, uint32_t num_terms) {
@@ -256,164 +258,14 @@ constexpr uint32_t kScanChunk = kGroupSlots;
 }  // namespace
 
 void IrTree::Freeze() {
-  if (frozen_ != nullptr) {
-    // Already frozen: folding the pending delta (if any) into the flat
-    // arrays is exactly a refreeze; with an empty delta this is a no-op.
-    const Status status = Refreeze();
-    COSKQ_CHECK(status.ok()) << status.ToString();
-    return;
-  }
-  COSKQ_CHECK(root_ != nullptr);
-
-  // Breadth-first node order: children of every node end up in a contiguous
-  // slot range, in the pointer tree's child order.
-  std::vector<const Node*> order;
-  order.push_back(root_.get());
-  for (size_t i = 0; i < order.size(); ++i) {
-    const Node* n = order[i];
-    if (!n->is_leaf) {
-      for (const auto& child : n->children) {
-        order.push_back(child.get());
-      }
-    }
-  }
-
-  COSKQ_CHECK_LE(order.size(),
-                 size_t{std::numeric_limits<uint32_t>::max()});
-  const uint32_t num_nodes = static_cast<uint32_t>(order.size());
-  const int threads = BuildThreads(size_.load(std::memory_order_relaxed));
-  // Every slot's term-arena, leaf-entry and child offsets are prefix sums
-  // of per-slot counts, so disjoint slot ranges can be written in parallel
-  // into exactly the bytes a sequential walk would write.
-  const auto for_each_slot = [&](const auto& fn) {
-    ParallelForRanges(num_nodes, threads, [&](int, size_t begin, size_t end) {
-      for (size_t slot = begin; slot < end; ++slot) {
-        fn(static_cast<uint32_t>(slot), order[slot]);
-      }
-    });
-  };
-  std::vector<uint64_t> term_begin(size_t{num_nodes} + 1, 0);
-  std::vector<uint64_t> leaf_begin(size_t{num_nodes} + 1, 0);
-  std::vector<uint64_t> child_begin(size_t{num_nodes} + 1, 0);
-  for_each_slot([&](uint32_t slot, const Node* n) {
-    COSKQ_CHECK_LE(n->EntryCount(), size_t{65535})
-        << "fan-out exceeds FrozenNodeRecord::entry_count";
-    uint64_t terms_here = n->terms.size();
-    if (n->is_leaf) {
-      leaf_begin[slot + 1] = n->objects.size();
-      for (ObjectId id : n->objects) {
-        terms_here += dataset_->object(id).keywords.size();
-      }
-    } else {
-      child_begin[slot + 1] = n->children.size();
-    }
-    term_begin[slot + 1] = terms_here;
-  });
-  for (uint32_t slot = 0; slot < num_nodes; ++slot) {
-    term_begin[slot + 1] += term_begin[slot];
-    leaf_begin[slot + 1] += leaf_begin[slot];
-    child_begin[slot + 1] += child_begin[slot];
-  }
-  COSKQ_CHECK_LE(term_begin[num_nodes],
-                 uint64_t{std::numeric_limits<uint32_t>::max()});
-  const uint32_t num_leaf_entries =
-      static_cast<uint32_t>(leaf_begin[num_nodes]);
-  const uint32_t num_terms = static_cast<uint32_t>(term_begin[num_nodes]);
-  COSKQ_CHECK_EQ(child_begin[num_nodes] + 1, uint64_t{num_nodes});
-
-  const FrozenLayout layout = options_.frozen_layout;
-  auto store = std::make_unique<FrozenStore>();
-  // Zero-filled so section padding bytes (and the level-grouped tail group)
-  // are deterministic: snapshots of the same tree are byte-for-byte
-  // identical.
-  store->owned.assign(
-      FrozenStore::BodyBytes(layout, num_nodes, num_leaf_entries, num_terms),
-      0);
-  uint8_t* body = store->owned.data();
-  const BodyLayout lay =
-      BodyLayout::Make(layout, num_nodes, num_leaf_entries, num_terms);
-  // Mutable mirrors of the FrozenView lane accessors.
-  const auto rec_at = [&](uint32_t slot) -> FrozenNodeRecord* {
-    return reinterpret_cast<FrozenNodeRecord*>(
-        body + lay.rec_off +
-        static_cast<size_t>(slot >> kGroupShift) * lay.rec_stride +
-        static_cast<size_t>(slot & kGroupMask) * sizeof(FrozenNodeRecord));
-  };
-  const auto lane_at = [&](size_t lane_off, uint32_t slot) -> double* {
-    return reinterpret_cast<double*>(
-        body + lane_off +
-        static_cast<size_t>(slot >> kGroupShift) * lay.mbr_stride +
-        static_cast<size_t>(slot & kGroupMask) * sizeof(double));
-  };
-  auto* terms = reinterpret_cast<TermId*>(body + lay.terms_off);
-  auto* leaf_ids = reinterpret_cast<ObjectId*>(body + lay.leaf_ids_off);
-  auto* leaf_x = reinterpret_cast<double*>(body + lay.leaf_x_off);
-  auto* leaf_y = reinterpret_cast<double*>(body + lay.leaf_y_off);
-  auto* leaf_sigs = reinterpret_cast<uint64_t*>(body + lay.leaf_sigs_off);
-  auto* leaf_term_begin =
-      reinterpret_cast<uint32_t*>(body + lay.leaf_term_begin_off);
-  auto* leaf_term_count =
-      reinterpret_cast<uint32_t*>(body + lay.leaf_term_count_off);
-
-  for_each_slot([&](uint32_t slot, const Node* n) {
-    uint32_t next_term = static_cast<uint32_t>(term_begin[slot]);
-    FrozenNodeRecord rec{};
-    rec.id = n->id;
-    rec.sig = n->sig;
-    rec.term_begin = next_term;
-    rec.term_count = static_cast<uint32_t>(n->terms.size());
-    std::copy(n->terms.begin(), n->terms.end(), terms + next_term);
-    next_term += rec.term_count;
-    *lane_at(lay.min_x_off, slot) = n->mbr.min_x;
-    *lane_at(lay.min_y_off, slot) = n->mbr.min_y;
-    *lane_at(lay.max_x_off, slot) = n->mbr.max_x;
-    *lane_at(lay.max_y_off, slot) = n->mbr.max_y;
-    if (n->is_leaf) {
-      uint32_t next_leaf = static_cast<uint32_t>(leaf_begin[slot]);
-      rec.flags = 1;
-      rec.entry_begin = next_leaf;
-      rec.entry_count = static_cast<uint16_t>(n->objects.size());
-      for (ObjectId id : n->objects) {
-        const SpatialObject& obj = dataset_->object(id);
-        leaf_ids[next_leaf] = id;
-        leaf_x[next_leaf] = obj.location.x;
-        leaf_y[next_leaf] = obj.location.y;
-        leaf_sigs[next_leaf] = obj_sigs_[id];
-        leaf_term_begin[next_leaf] = next_term;
-        leaf_term_count[next_leaf] =
-            static_cast<uint32_t>(obj.keywords.size());
-        std::copy(obj.keywords.begin(), obj.keywords.end(),
-                  terms + next_term);
-        next_term += static_cast<uint32_t>(obj.keywords.size());
-        ++next_leaf;
-      }
-    } else {
-      rec.first_child = static_cast<uint32_t>(child_begin[slot]) + 1;
-      rec.entry_count = static_cast<uint16_t>(n->children.size());
-    }
-    *rec_at(slot) = rec;
-  });
-
-  store->BindView(layout, body, num_nodes, num_leaf_entries, num_terms,
-                  static_cast<uint32_t>(Height()));
-  frozen_ = std::move(store);
-  RebuildFrozenLive();
-}
-
-void IrTree::RebuildFrozenLive() {
-  const FrozenView& v = frozen_->view;
-  frozen_live_.assign(dataset_->NumObjects(), 0);
-  for (uint32_t e = 0; e < v.num_leaf_entries; ++e) {
-    frozen_live_[v.leaf_ids[e]] = 1;
-  }
+  // Every tree is born frozen: folding the pending delta (if any) into a
+  // fresh body is exactly a refreeze; with an empty delta this is a no-op.
+  const Status status = Refreeze();
+  COSKQ_CHECK(status.ok()) << status.ToString();
 }
 
 Status IrTree::Refreeze() {
   std::lock_guard<std::mutex> refreeze_lock(refreeze_mutex_);
-  if (frozen_ == nullptr) {
-    return Status::InvalidArgument(
-        "Refreeze requires a frozen tree (call Freeze() first)");
-  }
 
   // Capture: the delta to fold (d0) and the post-fold live set L0, under the
   // mutation lock so both are one consistent cut. Everything applied after
@@ -445,10 +297,9 @@ Status IrTree::Refreeze() {
   // mutations proceed untouched against the old body while this runs. The
   // dataset records for L0 are immutable (append-only dataset), so the
   // unlocked read is safe. One thread: the serving workers keep the cores.
-  // Freeze() also builds the new base's membership bitmap here, unlocked.
+  // The build also fills the new base's membership bitmap here, unlocked.
   std::unique_ptr<IrTree> fresh(
       new IrTree(dataset_, options_, live, /*build_threads=*/1));
-  fresh->Freeze();
 
   // Swap: splice the new body in and rewrite the delta so that
   // (base − tombstones) ∪ inserts names the same logical set before and
@@ -499,17 +350,14 @@ Status IrTree::Refreeze() {
     COSKQ_CHECK_EQ(static_cast<int64_t>(live.size()) + next->LiveDelta(),
                    static_cast<int64_t>(size_.load(std::memory_order_relaxed)));
 
-    // The critical section only exchanges pointers: the old body, pointer
-    // tree, signatures and bitmap move into `fresh` and are freed below,
+    // The critical section only exchanges pointers: the old body and
+    // bitmap move into `fresh` and are freed below,
     // after both locks are released, so requests never wait on the frees.
     // The new bitmap may be shorter than a rebuild at swap time would be
     // (objects appended since the build), which LiveInBase already reads
     // as "not in the base" — and an appended object is not.
     std::unique_lock<std::shared_mutex> swap_lock(swap_mutex_);
-    std::swap(root_, fresh->root_);
-    std::swap(obj_sigs_, fresh->obj_sigs_);
     obj_sig_bits_sum_ = fresh->obj_sig_bits_sum_;
-    next_node_id_ = fresh->next_node_id_;
     std::swap(frozen_, fresh->frozen_);
     std::swap(frozen_live_, fresh->frozen_live_);
     PublishDelta(std::move(next));
@@ -545,18 +393,10 @@ void IrTree::WaitForRefreeze() {
 
 IrTree::IrTree(const Dataset* dataset, const Options& options,
                std::unique_ptr<internal_index::FrozenStore> store)
-    : dataset_(dataset), options_(options), frozen_(std::move(store)) {
+    : dataset_(dataset), options_(options) {
   COSKQ_CHECK(dataset != nullptr);
-  COSKQ_CHECK(frozen_ != nullptr);
-  size_ = frozen_->view.num_leaf_entries;
-  next_node_id_ = frozen_->view.num_nodes;
-  // leaf_sigs holds the same signature multiset obj_sigs_ would, so the
-  // masked-range prune-rate estimate matches a dataset-built tree exactly.
-  for (uint32_t i = 0; i < frozen_->view.num_leaf_entries; ++i) {
-    obj_sig_bits_sum_ +=
-        static_cast<uint64_t>(std::popcount(frozen_->view.leaf_sigs[i]));
-  }
-  RebuildFrozenLive();
+  COSKQ_CHECK(store != nullptr);
+  Adopt(std::move(store));
 }
 
 ObjectId IrTree::FrozenKeywordNn(const Point& p, TermId t, double* distance,
@@ -658,9 +498,9 @@ ObjectId IrTree::FrozenKeywordNnMasked(const Point& p, TermId t, int slot,
   // Node MINDISTs are recomputed from the SoA arrays instead of read through
   // the scratch memo: the scan produces the identical values (same inputs,
   // same arithmetic as the memo's Rect::MinDistance fill), so pruning and
-  // heap order are unchanged. Object distances still go through the
-  // QueryDistance memo when anchored at the query origin, exactly like the
-  // pointer path (same calls, same hit/miss counters).
+  // heap order are unchanged. Object distances go through the
+  // QueryDistance memo when anchored at the query origin (the solvers'
+  // hit/miss counters count those calls).
   const bool from_origin = p == scratch->origin();
   if (size_ > 0 && (v.node(0).sig & kw_sig) != 0 &&
       (scratch->NodeMask(v.node(0).id, v.node_terms(v.node(0)),
@@ -846,9 +686,8 @@ void IrTree::FrozenRangeRelevantMasked(const Circle& circle,
       const FrozenNodeRecord& node = v.node(slot);
       const Rect mbr{v.min_x(slot), v.min_y(slot), v.max_x(slot),
                      v.max_y(slot)};
-      // Same short-circuit order as the pointer path: geometry, signature,
-      // then the cached mask when warm, else the exact early-exit merge
-      // with no cache fill.
+      // Short-circuit order: geometry, signature, then the cached mask when
+      // warm, else the exact early-exit merge with no cache fill.
       if (!circle.Intersects(mbr) || (node.sig & sub_sig) == 0) {
         return;
       }
@@ -1007,33 +846,24 @@ void IrTree::CheckFrozenInvariants() const {
     expected_terms[i] = std::move(terms);
   }
 
-  // Cross-check against the pointer tree when both representations exist.
-  if (root_ != nullptr) {
-    struct Walker {
-      const FrozenView& v;
-      uint32_t next_leaf_entry = 0;
-      void Run(const Node* node, uint32_t slot) {
-        const FrozenNodeRecord& rec = v.node(slot);
-        COSKQ_CHECK_EQ(rec.id, node->id);
-        COSKQ_CHECK_EQ(rec.is_leaf(), node->is_leaf);
-        COSKQ_CHECK_EQ(static_cast<size_t>(rec.entry_count),
-                       node->EntryCount());
-        if (node->is_leaf) {
-          for (size_t k = 0; k < node->objects.size(); ++k) {
-            COSKQ_CHECK_EQ(v.leaf_ids[rec.entry_begin + k],
-                           node->objects[k]);
-          }
-        } else {
-          for (size_t k = 0; k < node->children.size(); ++k) {
-            Run(node->children[k].get(),
-                rec.first_child + static_cast<uint32_t>(k));
-          }
-        }
-      }
-    };
-    Walker walker{v};
-    walker.Run(root_.get(), 0);
+  // Pass 3: ids are the preorder numbering — a first child follows its
+  // parent, and each later sibling follows its elder sibling's subtree.
+  std::vector<uint32_t> subtree(v.num_nodes, 1);
+  for (uint32_t i = v.num_nodes; i-- > 0;) {
+    const FrozenNodeRecord& node = v.node(i);
+    if (node.is_leaf()) {
+      continue;
+    }
+    uint32_t next_id = node.id + 1;
+    for (uint32_t c = node.first_child;
+         c < node.first_child + node.entry_count; ++c) {
+      COSKQ_CHECK_EQ(v.node(c).id, next_id) << "ids are not preorder";
+      next_id += subtree[c];
+      subtree[i] += subtree[c];
+    }
   }
+  COSKQ_CHECK_EQ(v.node(0).id, 0u);
+
 }
 
 }  // namespace coskq

@@ -121,12 +121,14 @@ void QuadraticSplit(std::vector<Entry> all, int min_entries,
   }
 }
 
-/// One Sort-Tile-Recursive sort record: an entry's center, read once, and
-/// the entry's index.
+/// One Sort-Tile-Recursive sort record: an entry's center, read once, the
+/// entry's index, and its weight, which the sort carries along unread (the
+/// IR-tree build stores the size of the entry's keyword set there).
 struct StrRecord {
   double x;
   double y;
   uint32_t entry;
+  uint32_t weight;
 };
 
 /// Sort-Tile-Recursive grouping: sorts `records` by x, cuts them into

@@ -471,10 +471,11 @@ StatusOr<std::unique_ptr<IrTree>> LoadSnapshot(
     // Fallback for filesystems without mmap: one contiguous read (cold mode
     // degenerates to a fully resident heap body — correct, just not
     // out-of-core).
-    store->owned.resize(static_cast<size_t>(header.body_bytes));
-    ssize_t n = pread(fd.fd, store->owned.data(), store->owned.size(),
+    const size_t body_bytes = static_cast<size_t>(header.body_bytes);
+    uint8_t* owned = store->Allocate(body_bytes);
+    ssize_t n = pread(fd.fd, owned, body_bytes,
                       static_cast<off_t>(header_region));
-    if (n != static_cast<ssize_t>(store->owned.size())) {
+    if (n != static_cast<ssize_t>(body_bytes)) {
       return Status::IoError("cannot read body: " + path);
     }
     if (!cold) {
@@ -486,7 +487,7 @@ StatusOr<std::unique_ptr<IrTree>> LoadSnapshot(
       }
       Checksummer hasher;
       hasher.Update(region.data(), region.size());
-      hasher.Update(store->owned.data(), store->owned.size());
+      hasher.Update(owned, body_bytes);
       uint64_t trailer = 0;
       n = pread(fd.fd, &trailer, kTrailerBytes, static_cast<off_t>(covered));
       if (n != static_cast<ssize_t>(kTrailerBytes)) {
@@ -496,7 +497,7 @@ StatusOr<std::unique_ptr<IrTree>> LoadSnapshot(
         return Status::Corruption("snapshot checksum mismatch: " + path);
       }
     }
-    body = store->owned.data();
+    body = owned;
   }
   store->BindView(layout, body, header.num_nodes, header.num_leaf_entries,
                   header.num_terms, header.height);

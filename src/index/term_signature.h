@@ -1,6 +1,7 @@
 #ifndef COSKQ_INDEX_TERM_SIGNATURE_H_
 #define COSKQ_INDEX_TERM_SIGNATURE_H_
 
+#include <stddef.h>
 #include <stdint.h>
 
 #include "data/term_set.h"
@@ -32,12 +33,16 @@ inline uint64_t TermSignature(TermId t) {
 }
 
 /// OR of the member signatures; 0 for the empty set.
-inline uint64_t TermSetSignature(const TermSet& terms) {
+inline uint64_t TermSpanSignature(const TermId* terms, size_t count) {
   uint64_t sig = 0;
-  for (TermId t : terms) {
-    sig |= TermSignature(t);
+  for (size_t i = 0; i < count; ++i) {
+    sig |= TermSignature(terms[i]);
   }
   return sig;
+}
+
+inline uint64_t TermSetSignature(const TermSet& terms) {
+  return TermSpanSignature(terms.data(), terms.size());
 }
 
 }  // namespace coskq

@@ -103,12 +103,6 @@ Status CoskqServer::Start() {
       return Status::InvalidArgument(
           "mutable_dataset/mutable_index must alias the context handles");
     }
-    if (!options_.mutable_index->frozen()) {
-      // Only the frozen tree has the delta overlay; the pointer-tree insert
-      // path is single-threaded and must not race the solver pool.
-      return Status::InvalidArgument(
-          "enable_mutations requires a Freeze()-d index");
-    }
     // Pre-size the object array once so live inserts never reallocate it
     // under concurrent readers.
     if (!options_.mutable_dataset->concurrent_appends_enabled()) {

@@ -117,7 +117,6 @@ class CacheInvalidationTest : public ::testing::Test {
   void SetUp() override {
     dataset_ = test::MakeRandomDataset(300, 25, 3.0, 777);
     index_ = std::make_unique<IrTree>(&dataset_);
-    index_->Freeze();
     context_ = CoskqContext{&dataset_, index_.get()};
   }
 

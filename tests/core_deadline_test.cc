@@ -34,7 +34,6 @@ void ExpectTruncatedFeasibleAnswer(const Dataset& dataset,
                                    const std::string& solver_name,
                                    const CoskqQuery& query) {
   IrTree tree(&dataset);
-  tree.Freeze();
   const CoskqContext context{&dataset, &tree};
   SolverOptions options;
   options.deadline_ms = kDeadlineMs;

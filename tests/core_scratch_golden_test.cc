@@ -43,7 +43,6 @@ class ScratchGoldenTest : public ::testing::Test {
     Rng rng(20130614);
     dataset_ = new Dataset(GenerateSynthetic(GnLikeSpec(0.05), &rng));
     tree_ = new IrTree(dataset_);
-    tree_->Freeze();
     QueryGenerator gen(dataset_);
     Rng query_rng(64);
     queries_ = new std::vector<CoskqQuery>();

@@ -77,8 +77,6 @@ class DeltaDiffTest : public ::testing::TestWithParam<uint64_t> {
       base.push_back(id);
     }
     tree_ = std::make_unique<IrTree>(&dataset_, IrTree::Options(), base);
-    tree_->Freeze();
-    ASSERT_TRUE(tree_->frozen());
     live_.insert(base.begin(), base.end());
     for (int i = 0; i < 3; ++i) {
       queries_.push_back(
@@ -122,7 +120,6 @@ class DeltaDiffTest : public ::testing::TestWithParam<uint64_t> {
   void ExpectMatchesReference(Rng* rng) {
     const std::vector<ObjectId> live = LiveIds();
     IrTree ref(&dataset_, IrTree::Options(), live);
-    ref.Freeze();
     ASSERT_EQ(tree_->size(), live.size());
     tree_->CheckInvariants();
 
@@ -176,7 +173,6 @@ class DeltaDiffTest : public ::testing::TestWithParam<uint64_t> {
   void ExpectSolversMatchReference() {
     const std::vector<ObjectId> live = LiveIds();
     IrTree ref(&dataset_, IrTree::Options(), live);
-    ref.Freeze();
     const CoskqContext live_ctx{&dataset_, tree_.get()};
     const CoskqContext ref_ctx{&dataset_, &ref};
     for (const bool use_masks : {false, true}) {
@@ -264,7 +260,6 @@ TEST_P(DeltaDiffTest, ShuffledDisjointScriptsConverge) {
     base_ids.push_back(id);
   }
   IrTree other(&dataset_, IrTree::Options(), base_ids);
-  other.Freeze();
 
   std::vector<std::pair<ObjectId, bool>> shuffled = script;
   for (size_t i = shuffled.size(); i > 1; --i) {

@@ -1,39 +1,43 @@
-// Differential suite for the frozen flat IR-tree, over seeds 0-49: every
-// query path (KeywordNn, NnSet, RangeRelevant, RelevantStream — baseline and
-// masked) and every registry solver must be *bit-identical* between the
-// pointer tree and the frozen representation, down to node-visit logs and
-// distance-memo counters. This enforces the frozen layout's core contract:
-// Freeze() changes the memory layout, never the traversal.
+// Golden suite for the frozen IR-tree, over seeds 0-49: every query path
+// (KeywordNn, NnSet, RangeRelevant, RelevantStream — baseline and masked)
+// and every registry solver must reproduce, bit for bit, the digests the
+// pointer-tree traversals recorded before the tree lost that representation
+// (index_frozen_goldens.inc): answers, distance and cost bits, node-visit
+// logs and distance-memo counters. The STR build writes the frozen body
+// directly, so these goldens are what pins its child order and preorder ids.
 //
 // Since the frozen traversals dispatch through the SIMD kernel table
-// (kernels.h), every frozen-side check runs once per supported kernel
-// (scalar always, plus sse2/avx2 where the hardware has them) via
-// ForEachKernel — the pointer-side expectation is computed once and each
-// kernel must reproduce it exactly.
+// (kernels.h), every check runs once per supported kernel (scalar always,
+// plus sse2/avx2 where the hardware has them) via ForEachKernel. Brute force
+// stays the answer oracle: the answers behind each digest are also checked
+// against a scan of the dataset.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/solvers.h"
-#include "geo/circle.h"
-#include "index/irtree.h"
+#include "frozen_golden_digests.h"
 #include "index/kernels.h"
-#include "index/search_scratch.h"
-#include "test_util.h"
-#include "util/random.h"
 
 namespace coskq {
 namespace {
 
+using test::FrozenGolden;
+using test::GoldenFixture;
+using test::kGoldenSolverNames;
+using test::kGoldenSolvers;
+
+const FrozenGolden kGoldens[] = {
+#include "index_frozen_goldens.inc"
+};
+
 /// Runs `fn` once per supported kernel table with that table forced
-/// process-wide, then restores the previous selection. Frozen traversals
-/// read the active table, so this is how the differential checks cover the
-/// scalar, SSE2, and AVX2 code paths on one machine.
+/// process-wide, then restores the previous selection.
 template <typename Fn>
 void ForEachKernel(Fn&& fn) {
   using internal_index::ActiveKernelName;
@@ -48,252 +52,122 @@ void ForEachKernel(Fn&& fn) {
   ASSERT_TRUE(SelectKernels(before).ok());
 }
 
-const char* const kSolverNames[] = {
-    "maxsum-exact",      "dia-exact",        "maxsum-appro",
-    "dia-appro",         "cao-exact-maxsum", "cao-exact-dia",
-    "cao-appro1-maxsum", "cao-appro1-dia",   "cao-appro2-maxsum",
-    "cao-appro2-dia",
-};
-
 class FrozenDiffTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
-    const uint64_t seed = GetParam();
-    dataset_ = test::MakeRandomDataset(150, 25, 3.0, seed + 1);
-    tree_ = std::make_unique<IrTree>(&dataset_);
-    tree_->Freeze();
-    ASSERT_TRUE(tree_->frozen());
-    context_ = CoskqContext{&dataset_, tree_.get()};
-    for (int i = 0; i < 3; ++i) {
-      queries_.push_back(
-          test::MakeRandomQuery(dataset_, 3 + i, seed * 1000 + i));
-    }
+    ASSERT_EQ(std::size(kGoldens), 50u);
+    fixture_ = std::make_unique<GoldenFixture>(GetParam());
+    golden_ = &kGoldens[GetParam()];
+    ASSERT_EQ(golden_->seed, GetParam());
   }
 
-  Dataset dataset_;
-  std::unique_ptr<IrTree> tree_;
-  CoskqContext context_;
-  std::vector<CoskqQuery> queries_;
+  const Dataset& dataset() const { return fixture_->dataset; }
+  IrTree& tree() const { return *fixture_->tree; }
+
+  std::unique_ptr<GoldenFixture> fixture_;
+  const FrozenGolden* golden_ = nullptr;
 };
 
 TEST_P(FrozenDiffTest, FreezeIsIdempotentAndPassesInvariants) {
-  tree_->CheckInvariants();  // Cross-checks frozen arrays vs pointer tree.
-  tree_->Freeze();
-  tree_->CheckInvariants();
+  tree().CheckInvariants();
+  const uint64_t epoch = tree().epoch();
+  tree().Freeze();  // Nothing to fold: the tree is born frozen.
+  tree().CheckInvariants();
+  EXPECT_EQ(tree().epoch(), epoch);
+  EXPECT_EQ(tree().size(), dataset().NumObjects());
 }
 
 TEST_P(FrozenDiffTest, KeywordNnVisitSequencesIdentical) {
+  ForEachKernel([&] {
+    EXPECT_EQ(test::KeywordNnDigest(*fixture_), golden_->keyword_nn);
+  });
+  // The answers behind the digest against a scan of the dataset.
   Rng rng(GetParam() + 11);
   for (int trial = 0; trial < 20; ++trial) {
     const Point p{rng.UniformDouble(), rng.UniformDouble()};
     const TermId t = static_cast<TermId>(rng.UniformUint64(25));
-
-    tree_->set_frozen_enabled(false);
-    double want_d = 0.0;
-    std::vector<uint32_t> want_log;
-    const ObjectId want = tree_->KeywordNn(p, t, &want_d, &want_log);
-
-    tree_->set_frozen_enabled(true);
-    ForEachKernel([&] {
-      double got_d = 0.0;
-      std::vector<uint32_t> got_log;
-      const ObjectId got = tree_->KeywordNn(p, t, &got_d, &got_log);
-
-      EXPECT_EQ(got, want);
-      EXPECT_EQ(got_d, want_d);  // Bit-identical, no tolerance.
-      EXPECT_EQ(got_log, want_log) << "KeywordNn expansion order diverged";
-    });
+    double want = std::numeric_limits<double>::infinity();
+    for (const SpatialObject& obj : dataset().objects()) {
+      if (obj.ContainsTerm(t)) {
+        want = std::min(want, Distance(p, obj.location));
+      }
+    }
+    double got = 0.0;
+    tree().KeywordNn(p, t, &got);
+    EXPECT_EQ(got, want);
   }
 }
 
 TEST_P(FrozenDiffTest, MaskedNnSetVisitSequencesIdentical) {
-  SearchScratch scratch;
-  for (const CoskqQuery& q : queries_) {
-    std::vector<uint32_t> want_log;
-    std::vector<ObjectId> want;
-    TermSet want_missing;
-
-    tree_->set_frozen_enabled(false);
-    scratch.BeginQuery(q.location, q.keywords);
-    scratch.set_visit_log(&want_log);
-    want = tree_->NnSet(q.location, q.keywords, &want_missing, &scratch);
-    scratch.set_visit_log(nullptr);
-    scratch.FinishQuery();
-
-    tree_->set_frozen_enabled(true);
-    ForEachKernel([&] {
-      std::vector<uint32_t> got_log;
-      std::vector<ObjectId> got;
-      TermSet got_missing;
-      scratch.BeginQuery(q.location, q.keywords);
-      scratch.set_visit_log(&got_log);
-      got = tree_->NnSet(q.location, q.keywords, &got_missing, &scratch);
-      scratch.set_visit_log(nullptr);
-      scratch.FinishQuery();
-
-      EXPECT_EQ(got, want);
-      EXPECT_EQ(got_missing, want_missing);
-      EXPECT_EQ(got_log, want_log) << "masked NnSet expansion diverged";
-    });
-  }
+  ForEachKernel([&] {
+    EXPECT_EQ(test::MaskedNnSetDigest(*fixture_), golden_->masked_nn_set);
+  });
 }
 
 TEST_P(FrozenDiffTest, RangeRelevantVisitSequencesIdentical) {
-  SearchScratch scratch;
+  ForEachKernel([&] {
+    const std::pair<uint64_t, uint64_t> got = test::RangeDigests(*fixture_);
+    EXPECT_EQ(got.first, golden_->range) << "RangeRelevant diverged";
+    EXPECT_EQ(got.second, golden_->masked_range)
+        << "masked RangeRelevant diverged";
+  });
   Rng rng(GetParam() + 77);
-  for (const CoskqQuery& q : queries_) {
-    const double radius = 0.1 + 0.4 * rng.UniformDouble();
-    const Circle circle(q.location, radius);
-
-    // Baseline (unmasked) with visit logs.
-    tree_->set_frozen_enabled(false);
-    std::vector<ObjectId> want_out;
-    std::vector<uint32_t> want_log;
-    tree_->RangeRelevant(circle, q.keywords, &want_out, &want_log);
-
-    tree_->set_frozen_enabled(true);
-    ForEachKernel([&] {
-      std::vector<ObjectId> got_out;
-      std::vector<uint32_t> got_log;
-      tree_->RangeRelevant(circle, q.keywords, &got_out, &got_log);
-
-      EXPECT_EQ(got_out, want_out);
-      EXPECT_EQ(got_log, want_log) << "RangeRelevant expansion diverged";
-    });
-
-    // Masked with visit logs through the scratch.
-    tree_->set_frozen_enabled(false);
-    scratch.BeginQuery(q.location, q.keywords);
-    std::vector<ObjectId> want_mout;
-    std::vector<uint32_t> want_mlog;
-    scratch.set_visit_log(&want_mlog);
-    tree_->RangeRelevant(circle, q.keywords, &want_mout, &scratch);
-    scratch.set_visit_log(nullptr);
-    scratch.FinishQuery();
-
-    tree_->set_frozen_enabled(true);
-    ForEachKernel([&] {
-      scratch.BeginQuery(q.location, q.keywords);
-      std::vector<ObjectId> got_mout;
-      std::vector<uint32_t> got_mlog;
-      scratch.set_visit_log(&got_mlog);
-      tree_->RangeRelevant(circle, q.keywords, &got_mout, &scratch);
-      scratch.set_visit_log(nullptr);
-      scratch.FinishQuery();
-
-      EXPECT_EQ(got_mout, want_mout);
-      EXPECT_EQ(got_mlog, want_mlog) << "masked RangeRelevant diverged";
-    });
+  for (const CoskqQuery& q : fixture_->queries) {
+    const Circle circle(q.location, 0.1 + 0.4 * rng.UniformDouble());
+    std::vector<ObjectId> got;
+    tree().RangeRelevant(circle, q.keywords, &got);
+    std::sort(got.begin(), got.end());
+    std::vector<ObjectId> want;
+    for (const SpatialObject& obj : dataset().objects()) {
+      if (circle.Contains(obj.location) && obj.ContainsAnyOf(q.keywords)) {
+        want.push_back(obj.id);
+      }
+    }
+    EXPECT_EQ(got, want);
   }
 }
 
 TEST_P(FrozenDiffTest, RelevantStreamDrainsIdentically) {
-  SearchScratch scratch;
-  for (const CoskqQuery& q : queries_) {
-    // Unmasked streams.
-    std::vector<std::pair<ObjectId, double>> want;
-    tree_->set_frozen_enabled(false);
-    {
-      IrTree::RelevantStream stream(tree_.get(), q.location, q.keywords);
-      while (auto next = stream.Next()) {
-        want.push_back(*next);
-      }
-    }
-    tree_->set_frozen_enabled(true);
-    ForEachKernel([&] {
-      std::vector<std::pair<ObjectId, double>> got;
-      IrTree::RelevantStream stream(tree_.get(), q.location, q.keywords);
-      while (auto next = stream.Next()) {
-        got.push_back(*next);
-      }
-      EXPECT_EQ(got, want) << "RelevantStream order/content diverged";
-    });
-
-    // Masked streams (scratch caches shared within each drain).
-    want.clear();
-    tree_->set_frozen_enabled(false);
-    scratch.BeginQuery(q.location, q.keywords);
-    {
-      IrTree::RelevantStream stream(tree_.get(), q.location, q.keywords,
-                                    &scratch);
-      while (auto next = stream.Next()) {
-        want.push_back(*next);
-      }
-    }
-    scratch.FinishQuery();
-    tree_->set_frozen_enabled(true);
-    ForEachKernel([&] {
-      std::vector<std::pair<ObjectId, double>> got;
-      scratch.BeginQuery(q.location, q.keywords);
-      {
-        IrTree::RelevantStream stream(tree_.get(), q.location, q.keywords,
-                                      &scratch);
-        while (auto next = stream.Next()) {
-          got.push_back(*next);
-        }
-      }
-      scratch.FinishQuery();
-      EXPECT_EQ(got, want) << "masked RelevantStream diverged";
-    });
-  }
+  ForEachKernel([&] {
+    const std::pair<uint64_t, uint64_t> got = test::StreamDigests(*fixture_);
+    EXPECT_EQ(got.first, golden_->stream) << "RelevantStream diverged";
+    EXPECT_EQ(got.second, golden_->masked_stream)
+        << "masked RelevantStream diverged";
+  });
 }
 
 TEST_P(FrozenDiffTest, EverySolverBitIdenticalFrozenVsPointer) {
-  for (const bool use_masks : {false, true}) {
-    SolverOptions options;
-    options.use_query_masks = use_masks;
-    for (const char* name : kSolverNames) {
-      auto solver = MakeSolver(name, context_, options);
-      ASSERT_NE(solver, nullptr) << name;
-      for (size_t i = 0; i < queries_.size(); ++i) {
-        SCOPED_TRACE(std::string(name) + (use_masks ? " masked" : " baseline") +
-                     " query " + std::to_string(i));
-        tree_->set_frozen_enabled(false);
-        const CoskqResult want = solver->Solve(queries_[i]);
-        tree_->set_frozen_enabled(true);
-        ForEachKernel([&] {
-          const CoskqResult got = solver->Solve(queries_[i]);
-          EXPECT_EQ(got.feasible, want.feasible);
-          EXPECT_EQ(got.set, want.set);
-          EXPECT_EQ(got.cost, want.cost);  // Bit-identical, no tolerance.
-          EXPECT_EQ(got.stats.candidates, want.stats.candidates);
-          EXPECT_EQ(got.stats.sets_evaluated, want.stats.sets_evaluated);
-          EXPECT_EQ(got.stats.pairs_examined, want.stats.pairs_examined);
-          // The distance memo is shared logic: frozen paths must consult it
-          // exactly as often as the pointer paths do.
-          EXPECT_EQ(got.stats.dist_cache_hits, want.stats.dist_cache_hits);
-          EXPECT_EQ(got.stats.dist_cache_misses,
-                    want.stats.dist_cache_misses);
-        });
+  ForEachKernel([&] {
+    for (int masks = 0; masks < 2; ++masks) {
+      for (size_t s = 0; s < kGoldenSolvers; ++s) {
+        EXPECT_EQ(test::SolverDigest(*fixture_, kGoldenSolverNames[s],
+                                     masks == 1),
+                  golden_->solvers[masks][s])
+            << kGoldenSolverNames[s] << (masks == 1 ? " masked" : "");
       }
     }
-  }
+  });
 }
 
 TEST(FrozenInsertTest, InsertLandsInDeltaAndQueriesStayCorrect) {
-  // Since the live-update layer (DESIGN.md §13), mutating a frozen tree
-  // never invalidates the frozen view: the mutation lands in the delta
-  // overlay, re-inserting a live object is a clean error, and queries keep
-  // the frozen fast path while observing the delta.
+  // Mutating a tree never invalidates its frozen body: the mutation lands
+  // in the delta overlay, re-inserting a live object is a clean error, and
+  // queries observe the delta.
   Dataset ds = test::MakeRandomDataset(200, 20, 3.0, 7);
   std::vector<ObjectId> base;
   for (ObjectId id = 0; id < 180; ++id) {
     base.push_back(id);
   }
   IrTree tree(&ds, IrTree::Options(), base);
-  tree.Freeze();
-  ASSERT_TRUE(tree.frozen());
 
-  // Re-inserting a live object is rejected; the frozen view survives.
+  // Re-inserting a live object is rejected.
   EXPECT_FALSE(tree.Insert(0).ok());
-  EXPECT_TRUE(tree.frozen());
   EXPECT_EQ(tree.delta_size(), 0u);
   tree.CheckInvariants();
 
   // Inserting a not-yet-live object goes to the delta and is immediately
   // visible at its exact location.
   ASSERT_TRUE(tree.Insert(190).ok());
-  EXPECT_TRUE(tree.frozen());
   EXPECT_EQ(tree.delta_size(), 1u);
   tree.CheckInvariants();
   double d = 0.0;
@@ -303,9 +177,8 @@ TEST(FrozenInsertTest, InsertLandsInDeltaAndQueriesStayCorrect) {
   EXPECT_EQ(nn, 190u);
   EXPECT_EQ(d, 0.0);
 
-  // Re-freezing folds the delta into a fresh frozen body.
+  // Freeze() folds the delta into a fresh frozen body.
   tree.Freeze();
-  EXPECT_TRUE(tree.frozen());
   EXPECT_EQ(tree.delta_size(), 0u);
   EXPECT_EQ(tree.size(), 181u);
   tree.CheckInvariants();

@@ -1,6 +1,7 @@
 #include "index/irtree.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <limits>
@@ -172,49 +173,55 @@ TEST(IrTreeTest, RelevantStreamIsSortedAndComplete) {
 }
 
 TEST(IrTreeTest, DynamicInsertMatchesBulk) {
+  // Every object inserted one at a time through the delta overlay, into a
+  // tree built over none of them, answers like the bulk-loaded tree; a
+  // duplicate insert is rejected; and folding the delta rebuilds exactly
+  // the bulk tree, down to node-visit logs.
   Dataset ds = test::MakeRandomDataset(300, 30, 3.0, 61);
-  // Bulk tree over the full dataset.
-  IrTree bulk(&ds);
-  // Dynamic tree: bulk over nothing is impossible (tree binds to dataset),
-  // so build over the same dataset via Insert on an empty clone.
-  Dataset empty;
-  for (size_t i = 0; i < ds.vocabulary().size(); ++i) {
-    empty.mutable_vocabulary().GetOrAdd(ds.vocabulary().TermString(
-        static_cast<TermId>(i)));
-  }
+  const IrTree::Options options{8};
+  IrTree bulk(&ds, options);
+  IrTree dynamic(&ds, options, std::vector<ObjectId>());
+  EXPECT_EQ(dynamic.size(), 0u);
   for (const SpatialObject& obj : ds.objects()) {
-    empty.AddObjectWithTerms(obj.location, obj.keywords);
-  }
-  IrTree dynamic(&empty, IrTree::Options{8});
-  // Rebuild dynamically: insert everything again into a fresh tree built
-  // over a dataset that starts conceptually empty. The IR-tree is built at
-  // construction, so instead verify Insert on top of a prefix: build over
-  // the dataset and insert each object one more time, then check invariants
-  // and duplicated query results.
-  for (const SpatialObject& obj : empty.objects()) {
     ASSERT_TRUE(dynamic.Insert(obj.id).ok());
   }
   dynamic.CheckInvariants();
-  EXPECT_EQ(dynamic.size(), 2 * ds.NumObjects());
-  // Keyword NN distances agree with the bulk tree (duplicates do not change
-  // nearest distances).
+  EXPECT_EQ(dynamic.size(), ds.NumObjects());
+  EXPECT_EQ(dynamic.Insert(0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(dynamic.size(), ds.NumObjects());
+
   Rng rng(62);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Point p{rng.UniformDouble(), rng.UniformDouble()};
-    const TermId t = static_cast<TermId>(rng.UniformUint64(30));
-    double d_bulk = 0.0;
-    double d_dyn = 0.0;
-    const ObjectId a = bulk.KeywordNn(p, t, &d_bulk);
-    const ObjectId b = dynamic.KeywordNn(p, t, &d_dyn);
-    EXPECT_EQ(a == kInvalidObjectId, b == kInvalidObjectId);
-    if (a != kInvalidObjectId) {
-      EXPECT_DOUBLE_EQ(d_bulk, d_dyn);
+  const auto same_answers = [&](bool same_visits) {
+    for (int trial = 0; trial < 30; ++trial) {
+      const Point p{rng.UniformDouble(), rng.UniformDouble()};
+      const TermId t = static_cast<TermId>(rng.UniformUint64(30));
+      double d_bulk = 0.0;
+      double d_dyn = 0.0;
+      std::vector<uint32_t> log_bulk;
+      std::vector<uint32_t> log_dyn;
+      const ObjectId a = bulk.KeywordNn(p, t, &d_bulk, &log_bulk);
+      const ObjectId b = dynamic.KeywordNn(p, t, &d_dyn, &log_dyn);
+      EXPECT_EQ(a == kInvalidObjectId, b == kInvalidObjectId);
+      if (a != kInvalidObjectId) {
+        EXPECT_EQ(d_bulk, d_dyn);
+      }
+      if (same_visits) {
+        EXPECT_EQ(a, b);
+        EXPECT_EQ(log_bulk, log_dyn);
+      }
     }
-  }
+  };
+  same_answers(/*same_visits=*/false);
+  dynamic.Freeze();
+  EXPECT_EQ(dynamic.delta_size(), 0u);
+  dynamic.CheckInvariants();
+  EXPECT_EQ(dynamic.NodeCount(), bulk.NodeCount());
+  EXPECT_EQ(dynamic.Height(), bulk.Height());
+  same_answers(/*same_visits=*/true);
 }
 
 TEST(IrTreeTest, RefreezeAfterMutationsFoldsDeltaRepeatedly) {
-  // Freeze(), mutate through the delta, Freeze() again: each fold must drain
+  // Mutate through the delta, then Freeze(): each fold must drain
   // the delta, bump the epoch, and leave queries identical to a brute-force
   // scan of the live set. Two full cycles catch state leaking across folds.
   Dataset ds = test::MakeRandomDataset(260, 30, 3.0, 81);
@@ -223,7 +230,6 @@ TEST(IrTreeTest, RefreezeAfterMutationsFoldsDeltaRepeatedly) {
     base.push_back(id);
   }
   IrTree tree(&ds, IrTree::Options(), base);
-  tree.Freeze();
   std::vector<bool> live(ds.NumObjects(), false);
   for (ObjectId id : base) {
     live[id] = true;
@@ -248,7 +254,6 @@ TEST(IrTreeTest, RefreezeAfterMutationsFoldsDeltaRepeatedly) {
     EXPECT_GT(tree.delta_size(), 0u);
     tree.Freeze();  // Re-Freeze folds the delta in place.
     EXPECT_EQ(tree.delta_size(), 0u);
-    EXPECT_TRUE(tree.frozen());
     EXPECT_EQ(tree.epoch(), epoch_before + 1);
     tree.CheckInvariants();
     const size_t want_size =
@@ -292,6 +297,29 @@ TEST(IrTreeTest, NodeCountGrowsWithData) {
   IrTree t2(&large);
   EXPECT_LT(t1.NodeCount(), t2.NodeCount());
   EXPECT_LE(t1.Height(), t2.Height());
+}
+
+TEST(IrTreeFootprintTest, ConstructionKeepsOnlyTheBodyAndLiveBitmap) {
+  // A built tree holds its frozen body, one membership byte per object and
+  // a few fixed-size members; every build temporary is gone once the
+  // constructor returns. mallinfo2 counts the heap in use, mapped blocks
+  // included, so this is exact in an optimized build; sanitizers and debug
+  // builds bring their own allocator behavior.
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "heap accounting runs in optimized, unsanitized builds";
+#else
+  const Dataset ds = test::MakeRandomDataset(200000, 2000, 3.0, 91);
+  const auto heap_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return info.uordblks + info.hblkhd;
+  };
+  const size_t before = heap_in_use();
+  const IrTree tree(&ds);
+  const size_t grown = heap_in_use() - before;
+  EXPECT_LE(grown, tree.MemoryStats().body_bytes + ds.NumObjects() +
+                       (size_t{1} << 20));
+#endif
 }
 
 }  // namespace

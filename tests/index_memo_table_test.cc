@@ -239,7 +239,6 @@ TEST(SearchScratchMemoTest, FootprintFollowsTheQueryNotTheIndex) {
   // arrays, would be about 6.4 MB before the query touched anything.
   const Dataset ds = test::MakeRandomDataset(200000, 2000, 3.0, 82);
   IrTree tree(&ds);
-  tree.Freeze();
   const CoskqQuery q = test::MakeRandomQuery(ds, 3, 83);
   SearchScratch scratch;
   scratch.BeginQuery(q.location, q.keywords);

@@ -37,8 +37,6 @@ TEST(RefreezeRaceTest, QueriesRaceMutationsAndBackgroundRefreezes) {
     base.push_back(id);
   }
   IrTree tree(&dataset, IrTree::Options(), base);
-  tree.Freeze();
-  ASSERT_TRUE(tree.frozen());
   const CoskqContext context{&dataset, &tree};
 
   std::vector<CoskqQuery> queries;
@@ -109,7 +107,6 @@ TEST(RefreezeRaceTest, QueriesRaceMutationsAndBackgroundRefreezes) {
 
   const std::vector<ObjectId> live_ids(live.begin(), live.end());
   IrTree ref(&dataset, IrTree::Options(), live_ids);
-  ref.Freeze();
   Rng rng(4242);
   for (int trial = 0; trial < 10; ++trial) {
     const Point p{rng.UniformDouble(), rng.UniformDouble()};
@@ -135,7 +132,6 @@ TEST(RefreezeRaceTest, StreamsPinTheirViewAcrossASwap) {
     base.push_back(id);
   }
   IrTree tree(&dataset, IrTree::Options(), base);
-  tree.Freeze();
   const CoskqQuery q = test::MakeRandomQuery(dataset, 3, 91);
 
   // Reference drain of the pre-mutation view.

@@ -173,5 +173,103 @@ TEST(TopkRankedTest, AlphaZeroIsPureRelevance) {
   EXPECT_EQ(ranked[2].first, 2u);
 }
 
+class SkqLiveSetTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SkqLiveSetTest, BothQueriesAnswerOverTheLiveSet) {
+  // Seeded Insert/Remove runs over a tree built on a prefix of the dataset:
+  // tombstoned objects must never come back and pending inserts must
+  // compete, so both queries match brute force over the live set. TopkRanked
+  // normalizes by the indexed region: the frozen base's MBR (tombstones
+  // included) grown by the pending inserts.
+  Dataset ds = test::MakeRandomDataset(600, 30, 4.0, GetParam());
+  std::vector<ObjectId> base;
+  for (ObjectId id = 0; id < 450; ++id) {
+    base.push_back(id);
+  }
+  IrTree tree(&ds, IrTree::Options(), base);
+  std::vector<bool> live(ds.NumObjects(), false);
+  for (ObjectId id : base) {
+    live[id] = true;
+  }
+  Rng rng(GetParam() + 3);
+  for (int op = 0; op < 200; ++op) {
+    const ObjectId id =
+        static_cast<ObjectId>(rng.UniformUint64(ds.NumObjects()));
+    ASSERT_TRUE(live[id] ? tree.Remove(id).ok() : tree.Insert(id).ok());
+    live[id] = !live[id];
+  }
+  ASSERT_GT(tree.delta_size(), 0u);
+  tree.CheckInvariants();
+  Rect region;
+  for (ObjectId id = 0; id < ds.NumObjects(); ++id) {
+    if (id < base.size() || live[id]) {
+      region.ExpandToInclude(ds.object(id).location);
+    }
+  }
+  const double diag = Distance(Point{region.min_x, region.min_y},
+                               Point{region.max_x, region.max_y});
+
+  const auto check_boolean_knn = [&](const Point& p, const TermSet& required,
+                                     size_t k) {
+    std::vector<std::pair<ObjectId, double>> want;
+    for (const SpatialObject& obj : ds.objects()) {
+      if (live[obj.id] && TermSetIsSubset(required, obj.keywords)) {
+        want.emplace_back(obj.id, Distance(p, obj.location));
+      }
+    }
+    std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+      return a.second < b.second;
+    });
+    want.resize(std::min(want.size(), k));
+    const auto got = tree.BooleanKnn(p, required, k);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].second, want[i].second);
+      EXPECT_TRUE(live[got[i].first]);
+      EXPECT_TRUE(
+          TermSetIsSubset(required, ds.object(got[i].first).keywords));
+    }
+  };
+  for (int trial = 0; trial < 25; ++trial) {
+    const Point p{rng.UniformDouble(), rng.UniformDouble()};
+    TermSet terms{static_cast<TermId>(rng.UniformUint64(30)),
+                  static_cast<TermId>(rng.UniformUint64(30))};
+    NormalizeTermSet(&terms);
+    const size_t k = 1 + rng.UniformUint64(8);
+    check_boolean_knn(p, TermSet{terms.front()}, k);
+    check_boolean_knn(p, {}, k);
+
+    const double alpha = 0.25 * static_cast<double>(trial % 5);
+    std::vector<double> scores;
+    for (const SpatialObject& obj : ds.objects()) {
+      if (live[obj.id]) {
+        scores.push_back(BruteScore(obj, p, terms, alpha, diag));
+      }
+    }
+    std::sort(scores.begin(), scores.end());
+    const auto got = tree.TopkRanked(p, terms, k, alpha);
+    ASSERT_EQ(got.size(), k);
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_DOUBLE_EQ(got[i].second, scores[i]);
+      EXPECT_TRUE(live[got[i].first]);
+      EXPECT_DOUBLE_EQ(
+          got[i].second,
+          BruteScore(ds.object(got[i].first), p, terms, alpha, diag));
+    }
+  }
+
+  // Folding the delta changes no BooleanKnn answer.
+  tree.Freeze();
+  EXPECT_EQ(tree.delta_size(), 0u);
+  for (int trial = 0; trial < 10; ++trial) {
+    const Point p{rng.UniformDouble(), rng.UniformDouble()};
+    check_boolean_knn(p, TermSet{static_cast<TermId>(rng.UniformUint64(30))},
+                      5);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SkqLiveSetTest,
+                         ::testing::Values(81, 82, 83));
+
 }  // namespace
 }  // namespace coskq

@@ -153,15 +153,11 @@ TEST_F(SnapshotRoundTripTest, HotelLikeRoundTripAndQueryIdentity) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   IrTree& snap = **loaded;
   snap.CheckInvariants();
-  EXPECT_TRUE(snap.frozen());
   EXPECT_EQ(snap.size(), tree.size());
   EXPECT_EQ(snap.Height(), tree.Height());
   EXPECT_EQ(snap.NodeCount(), tree.NodeCount());
-  EXPECT_EQ(snap.node_id_limit(), tree.node_id_limit());
 
-  // Query bit-identity (including visit logs) against the built tree, which
-  // itself runs the frozen fast path after Freeze().
-  tree.Freeze();
+  // Query bit-identity (including visit logs) against the built tree.
   Rng qrng(10);
   for (int trial = 0; trial < 40; ++trial) {
     const Point p{qrng.UniformDouble(), qrng.UniformDouble()};
@@ -313,8 +309,8 @@ TEST_F(SnapshotRoundTripTest, ColdLoadAnswersIdenticallyAndReportsStats) {
 
 TEST_F(SnapshotRoundTripTest, FrozenOnlyTreeRoutesMutationsIntoDelta) {
   // Regression for the pre-delta behavior where a snapshot-loaded tree
-  // (frozen-only, no pointer tree) rejected Insert outright: mutations now
-  // land in the delta overlay exactly as on a Freeze()-d built tree.
+  // rejected Insert outright: mutations now land in the delta overlay
+  // exactly as on a built tree.
   Dataset ds = test::MakeRandomDataset(200, 20, 3.0, 3);
   std::vector<ObjectId> base;
   for (ObjectId id = 0; id < 150; ++id) {
@@ -329,13 +325,11 @@ TEST_F(SnapshotRoundTripTest, FrozenOnlyTreeRoutesMutationsIntoDelta) {
 
   // Re-inserting a live object is still a clean error...
   EXPECT_FALSE(snap.Insert(0).ok());
-  EXPECT_TRUE(snap.frozen());
   EXPECT_EQ(snap.delta_size(), 0u);
 
   // ...but inserting a dataset object the snapshot does not cover routes
   // into the delta and is immediately visible.
   ASSERT_TRUE(snap.Insert(160).ok());
-  EXPECT_TRUE(snap.frozen());
   EXPECT_EQ(snap.delta_size(), 1u);
   snap.CheckInvariants();
   const TermSet& kw = ds.object(160).keywords;
@@ -352,10 +346,9 @@ TEST_F(SnapshotRoundTripTest, FrozenOnlyTreeRoutesMutationsIntoDelta) {
   d = 0.0;
   EXPECT_NE(snap.KeywordNn(ds.object(5).location, kw5[0], &d), 5u);
 
-  // Refreeze folds the delta and rebuilds a full (pointer + frozen) tree.
+  // Refreeze folds the delta into a freshly built frozen body.
   ASSERT_TRUE(snap.Refreeze().ok());
   EXPECT_EQ(snap.delta_size(), 0u);
-  EXPECT_TRUE(snap.frozen());
   snap.CheckInvariants();
   d = 0.0;
   EXPECT_EQ(snap.KeywordNn(ds.object(160).location, kw[0], &d), 160u);

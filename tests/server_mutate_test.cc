@@ -123,7 +123,6 @@ class ServerMutateTest : public ::testing::Test {
   void SetUp() override {
     dataset_ = test::MakeRandomDataset(300, 25, 3.0, 777);
     index_ = std::make_unique<IrTree>(&dataset_);
-    index_->Freeze();
     context_ = CoskqContext{&dataset_, index_.get()};
   }
 

@@ -31,10 +31,11 @@
 # SIGTERM.
 #
 # The perf job is opt-in (not part of the default matrix): it builds
-# Release, runs the repository benchmark's four workloads in smoke mode
-# (benchmark/run.sh --smoke: every reply checked bitwise) plus one
-# --corrupt-reference run that must fail, runs the A/B benchmarks (hot path, dataset suite, frozen IR-tree
-# layout, out-of-core scalability) at the same scale the committed
+# Release, runs the repository benchmark's four workloads in smoke mode,
+# untraced and traced (benchmark/run.sh --smoke: every reply checked
+# bitwise) plus one --corrupt-reference run that must fail, runs the A/B
+# benchmarks (hot path, dataset suite, IR-tree cold start, out-of-core
+# scalability) at the same scale the committed
 # BENCH_*.json baselines were recorded at, and gates on
 # tools/bench_compare.py: any directional metric more than 25% worse than
 # its committed baseline fails the job. It also smoke-tests the
@@ -89,7 +90,7 @@ for job in "${JOBS[@]}"; do
       ctest --test-dir build-ci-release --output-on-failure -j "$NPROC"
       # The SIMD kernel layer must be a pure optimization: with the scalar
       # reference table forced, every fast-tier answer (including the
-      # frozen-vs-pointer differential suite) must still hold bit-exactly.
+      # frozen visit-log golden suite) must still hold bit-exactly.
       echo "== release: fast tier re-run with COSKQ_KERNEL=scalar =="
       COSKQ_KERNEL=scalar ctest --test-dir build-ci-release \
           --output-on-failure -L fast -j "$NPROC"
@@ -223,7 +224,7 @@ for job in "${JOBS[@]}"; do
       # for noisy shared runners is COSKQ_PERF_WARN_ONLY=1.
       #
       # Since the live-update layer landed, the read-path benches
-      # (BENCH_hotpath, BENCH_irtree_layout, BENCH_simd) double as the
+      # (BENCH_hotpath, BENCH_simd) double as the
       # empty-delta tax gate: every frozen traversal now passes through the
       # delta-merge wrappers, and these baselines were recorded before that
       # layer existed, so a delta check that costs pure reads >25% fails
@@ -271,8 +272,11 @@ for job in "${JOBS[@]}"; do
       # Every workload end to end with short phases: the run exits nonzero
       # unless every reply is bitwise identical to a direct solve. A run
       # with one reference answer flipped must then fail, which proves that
-      # gate fires.
+      # gate fires. The traced smoke replays each layer's public calls too:
+      # on exact_fresh that is live inserts and removes, a synchronous
+      # Refreeze() of the 934k-object tree and a 4-shard cut of it.
       benchmark/run.sh --smoke
+      benchmark/run.sh --smoke --trace 1
       if benchmark/run.sh --smoke --workload appro_zipf --corrupt-reference \
           > build-ci-perf/corrupt-reference.log 2>&1; then
         echo "benchmark accepted a corrupted reference answer"

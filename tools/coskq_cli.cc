@@ -291,7 +291,6 @@ std::unique_ptr<IrTree> PrepareIndex(const Dataset& dataset,
   std::unique_ptr<IrTree> index;
   if (snapshot_path.empty()) {
     index = std::make_unique<IrTree>(&dataset);
-    index->Freeze();
     *from_snapshot = false;
   } else {
     StatusOr<std::unique_ptr<IrTree>> loaded =
@@ -585,7 +584,6 @@ int RunIndexBuild(const std::vector<std::string>& args) {
   Dataset dataset = std::move(loaded).value();
   WallTimer build_timer;
   IrTree index(&dataset, tree_options);
-  index.Freeze();
   const double build_ms = build_timer.ElapsedMillis();
   WallTimer save_timer;
   const Status status = SaveSnapshot(&index, args[1]);
